@@ -232,39 +232,87 @@ pub fn edit_distance_antidiagonal(x: &[u8], y: &[u8], c: &CostModel) -> i64 {
 /// The DIST matrix of the strip of `x[r0..r1]` against all of `y`:
 /// `DIST[i][j]` = cheapest path from boundary column `i` above the strip
 /// to boundary column `j` below it (`∞` for `j < i`, since grid-DAG
-/// columns never decrease). Computed by one DP per start column,
-/// parallel over starts: `O((n + h) · h · n)` work for height `h`.
+/// columns never decrease).
+///
+/// One DP per start column `s`, over the strip's `h` rows and only the
+/// columns `s..=n` it can reach: `h · (n + 1)(n + 2) / 2` cell updates
+/// in all. The costs are tabulated once per strip (`n` insertions, `h`
+/// deletions, an `h × n` substitution table), so the cost model is
+/// called `h · n + h + n` times, not once per cell. Start `s` runs in
+/// the same task as start `n − s`, which gives every task the same area
+/// (the middle start of an even `n` runs alone, at half the area); each
+/// task reuses two pooled row buffers and writes its rows of the one
+/// output buffer in place. Sums saturate and cells clamp to `∞`, so
+/// huge costs cannot overflow.
 pub fn strip_dist(xs: &[u8], y: &[u8], c: &CostModel) -> Dense<i64> {
     let n = y.len();
+    let ins: Vec<i64> = y.iter().map(|&b| (c.ins)(b)).collect();
+    let del: Vec<i64> = xs.iter().map(|&a| (c.del)(a)).collect();
+    let mut sub = Vec::with_capacity(xs.len() * n);
+    for &a in xs {
+        sub.extend(y.iter().map(|&b| (c.sub)(a, b)));
+    }
+    let mut out = vec![0i64; (n + 1) * (n + 1)];
+    let mut rows = out.chunks_mut(n + 1).enumerate();
+    let mut tasks = Vec::with_capacity(n / 2 + 1);
+    while let Some(front) = rows.next() {
+        tasks.push((front, rows.next_back()));
+    }
+    tasks.into_par_iter().for_each(|(front, back)| {
+        with_scratch2(|prev: &mut Vec<i64>, cur: &mut Vec<i64>| {
+            for (s, row) in std::iter::once(front).chain(back) {
+                dist_row(s, &ins, &del, &sub, prev, cur, row);
+            }
+        });
+    });
+    Dense::from_vec(n + 1, n + 1, out)
+}
+
+/// Row `s` of a strip's DIST matrix: the DP from boundary column `s`
+/// over columns `s..=n`, with `prev` and `cur` as the two rolling DP
+/// rows, indexed from column `s`. `sub` is the row-major `h × n` table.
+fn dist_row(
+    s: usize,
+    ins: &[i64],
+    del: &[i64],
+    sub: &[i64],
+    prev: &mut Vec<i64>,
+    cur: &mut Vec<i64>,
+    row: &mut [i64],
+) {
     let inf = <i64 as Value>::INFINITY;
-    let rows: Vec<Vec<i64>> = (0..=n)
-        .into_par_iter()
-        .map(|start| {
-            // DP over the strip from (row 0, col start).
-            let mut prev = vec![inf; n + 1];
-            prev[start] = 0;
-            for j in start + 1..=n {
-                prev[j] = prev[j - 1].saturating_add((c.ins)(y[j - 1]));
-            }
-            let mut cur = vec![inf; n + 1];
-            for &xc in xs {
-                for j in 0..=n {
-                    let mut best = prev[j].saturating_add((c.del)(xc));
-                    if j >= 1 {
-                        best = best
-                            .min(cur[j - 1].saturating_add((c.ins)(y[j - 1])))
-                            .min(prev[j - 1].saturating_add((c.sub)(xc, y[j - 1])));
-                    }
-                    cur[j] = best.min(inf);
-                }
-                std::mem::swap(&mut prev, &mut cur);
-                cur.fill(inf);
-            }
-            // Clamp to the saturating infinity so Monge checks stay exact.
-            prev.iter().map(|&v| v.min(inf)).collect()
-        })
-        .collect();
-    Dense::from_rows(rows)
+    let n = ins.len();
+    let ins = &ins[s..];
+    prev.clear();
+    prev.push(0);
+    let mut acc = 0i64;
+    for &i in ins {
+        acc = acc.saturating_add(i);
+        prev.push(acc);
+    }
+    cur.clear();
+    cur.resize(prev.len(), inf);
+    for (r, &d) in del.iter().enumerate() {
+        // Column s has no left or diagonal neighbour inside the triangle.
+        let mut left = prev[0].saturating_add(d).min(inf);
+        cur[0] = left;
+        let sub = &sub[r * n + s..(r + 1) * n];
+        let cells = cur[1..].iter_mut().zip(prev[1..].iter().zip(prev.iter()));
+        for ((cell, (&up, &diag)), (&i, &sb)) in cells.zip(ins.iter().zip(sub)) {
+            // The terms that do not depend on `left` go first, so the
+            // loop-carried chain is one add and one min.
+            let t = up.saturating_add(d).min(diag.saturating_add(sb)).min(inf);
+            left = t.min(left.saturating_add(i));
+            *cell = left;
+        }
+        std::mem::swap(prev, cur);
+    }
+    row[..s].fill(inf);
+    // The insertion-only first row is never clamped, and a strip of
+    // height 0 returns it, so the clamp happens here.
+    for (o, &v) in row[s..].iter_mut().zip(prev.iter()) {
+        *o = v.min(inf);
+    }
 }
 
 /// Banded `(min,+)` product of two DIST matrices by the doubly-monotone
@@ -680,6 +728,91 @@ mod tests {
                             assert!(a1 + a4 <= a2 + a3, "quadrangle fails at {i},{k},{j},{l}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The per-start DP `strip_dist` ran before the triangle kernel:
+    /// every start updates all `n + 1` columns and calls the cost model
+    /// in every cell. Kept as the reference the kernel must match.
+    fn strip_dist_reference(xs: &[u8], y: &[u8], c: &CostModel) -> Dense<i64> {
+        let n = y.len();
+        let inf = <i64 as Value>::INFINITY;
+        let rows: Vec<Vec<i64>> = (0..=n)
+            .map(|start| {
+                let mut prev = vec![inf; n + 1];
+                prev[start] = 0;
+                for j in start + 1..=n {
+                    prev[j] = prev[j - 1].saturating_add((c.ins)(y[j - 1]));
+                }
+                let mut cur = vec![inf; n + 1];
+                for &xc in xs {
+                    for j in 0..=n {
+                        let mut best = prev[j].saturating_add((c.del)(xc));
+                        if j >= 1 {
+                            best = best
+                                .min(cur[j - 1].saturating_add((c.ins)(y[j - 1])))
+                                .min(prev[j - 1].saturating_add((c.sub)(xc, y[j - 1])));
+                        }
+                        cur[j] = best.min(inf);
+                    }
+                    std::mem::swap(&mut prev, &mut cur);
+                    cur.fill(inf);
+                }
+                prev.iter().map(|&v| v.min(inf)).collect()
+            })
+            .collect();
+        Dense::from_rows(rows)
+    }
+
+    #[test]
+    fn strip_dist_matches_the_dp_oracle_and_the_reference() {
+        // Odd and even n: an even n leaves the middle start unpaired.
+        let mut rng = StdRng::seed_from_u64(166);
+        let inf = <i64 as Value>::INFINITY;
+        for c in [CostModel::unit(), CostModel::weighted()] {
+            for h in [0usize, 1, 2, 7] {
+                for n in 0..=33 {
+                    let xs = random_string(h, 4, &mut rng);
+                    let y = random_string(n, 4, &mut rng);
+                    let d = strip_dist(&xs, &y, &c);
+                    assert_eq!(d, strip_dist_reference(&xs, &y, &c), "h={h} n={n}");
+                    for i in 0..=n {
+                        for j in 0..=n {
+                            let want = if j < i {
+                                inf
+                            } else {
+                                edit_distance_dp(&xs, &y[i..j], &c)
+                            };
+                            assert_eq!(d.entry(i, j), want, "h={h} n={n} DIST[{i}][{j}]");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strip_dist_saturates_like_the_reference() {
+        // Each operation costs about INFINITY / 3, so a path of a few
+        // operations passes INFINITY and a long insertion run passes
+        // i64::MAX: plain adds would overflow (and panic in debug builds).
+        let inf = <i64 as Value>::INFINITY;
+        let huge = CostModel {
+            del: |_| <i64 as Value>::INFINITY / 3,
+            ins: |_| <i64 as Value>::INFINITY / 3 + 1,
+            sub: |a, b| i64::from(a != b) * (<i64 as Value>::INFINITY / 3),
+        };
+        let mut rng = StdRng::seed_from_u64(167);
+        for h in [0usize, 1, 2, 7] {
+            for n in [0usize, 1, 2, 13, 32, 33] {
+                let xs = random_string(h, 2, &mut rng);
+                let y = random_string(n, 2, &mut rng);
+                let d = strip_dist(&xs, &y, &huge);
+                assert_eq!(d, strip_dist_reference(&xs, &y, &huge), "h={h} n={n}");
+                if h == 0 && n >= 3 {
+                    assert_eq!(d.entry(0, n), inf, "{n} insertions clamp to ∞");
                 }
             }
         }

@@ -101,9 +101,13 @@ where
 
 /// Target amount of work per rayon task, in nanoseconds.
 ///
-/// Large enough that spawn/steal overhead (~1–2 µs per task) stays
-/// under ~10% of useful work, small enough that an 8-thread pool can
-/// balance a millisecond-scale problem.
+/// Sized for a work-stealing pool, where a spawn or steal costs about a
+/// microsecond: large enough that this overhead stays under ~10% of
+/// useful work, small enough that an 8-thread pool can balance a
+/// millisecond-scale problem. The vendored `rayon` stand-in spawns a
+/// scoped OS thread per `join` instead; an empty join there measured
+/// 29–55 µs on a 2-vCPU host (the benchmark's `runtime.join_us`), so on
+/// that build a task of this size costs more to fork than to run.
 pub const TARGET_TASK_NANOS: f64 = 20_000.0;
 
 /// One-shot grain calibration for the array `a`.
