@@ -40,6 +40,7 @@ pub const QUERY_FAMILIES: &[&str] = &[
     "monge-degenerate",
     "inverse-monge",
     "monge-inf-sentinel",
+    "monge-wide",
 ];
 
 /// One fixed array under a structural promise — the preprocessing unit
@@ -111,7 +112,10 @@ impl Rect {
 /// degenerate single-row/column shapes, inverse-Monge (the maxima
 /// lowering path), and `+∞`-staircase sentinels masked so the full
 /// array is still Monge (non-decreasing boundary — the absorbed
-/// sentinel keeps inequality (1.1) intact).
+/// sentinel keeps inequality (1.1) intact). The other families draw
+/// both sides from `1..=14`; `monge-wide` draws up to 64 rows and
+/// 129–400 columns, so its indexes are up to 7 levels deep and its
+/// row scans are long enough to read the 64-wide block summaries.
 ///
 /// # Panics
 ///
@@ -119,20 +123,23 @@ impl Rect {
 pub fn query_array(family: &'static str, seed: u64) -> QueryInstance {
     let mut r = SplitMix64::new(seed);
     let dim = |r: &mut SplitMix64| r.range_usize(1, 14);
-    let (m, n) = if family == "monge-degenerate" {
-        if r.chance(1, 2) {
-            (1, dim(&mut r))
-        } else {
-            (dim(&mut r), 1)
+    let (m, n) = match family {
+        "monge-degenerate" => {
+            if r.chance(1, 2) {
+                (1, dim(&mut r))
+            } else {
+                (dim(&mut r), 1)
+            }
         }
-    } else {
-        (dim(&mut r), dim(&mut r))
+        "monge-wide" => (r.range_usize(1, 64), r.range_usize(129, 400)),
+        _ => (dim(&mut r), dim(&mut r)),
     };
     let (a, structure) = match family {
         "monge-random" => (monge_base(m, n, &mut r, 1000, 16, 1), Structure::Monge),
         "monge-plateau" => (monge_base(m, n, &mut r, 32, 16, 16), Structure::Monge),
         "monge-zero-slack" => (monge_base(m, n, &mut r, 40, 0, 4), Structure::Monge),
         "monge-degenerate" => (monge_base(m, n, &mut r, 100, 8, 1), Structure::Monge),
+        "monge-wide" => (monge_base(m, n, &mut r, 4000, 16, 1), Structure::Monge),
         "inverse-monge" => {
             let base = monge_base(m, n, &mut r, 500, 12, 1);
             let data = base.data().iter().map(|&x| -x).collect();

@@ -8,13 +8,15 @@
 //! The index is a segment tree over the row set. Each canonical node
 //! covering rows `[lo, hi)` stores, for both objectives, the node's
 //! **column-extrema envelope**: for every column `j`, the optimum of
-//! `a[lo..hi, j]` together with the smallest row attaining it. Because
-//! the transpose of a (inverse-)Monge array is (inverse-)Monge, the
-//! owning-row map `j → row(j)` is computed with the existing SMAWK
-//! layer — [`crate::smawk::row_minima_totally_monotone`] on the §1.2
-//! lowering of the transposed row-slab — and is monotone, so it
-//! compresses into a short list of **breakpoint segments** (constant
-//! owning row per segment, at most `min(hi-lo, n)` of them).
+//! `a[lo..hi, j]` together with the smallest row attaining it, as a
+//! list of **breakpoint segments** (runs of constant owning row). A
+//! leaf's single row owns every column. An internal node merges its
+//! two children's envelopes: in a Monge or inverse-Monge slab the
+//! owning-row map `j → row(j)` is monotone, so the lower child owns a
+//! suffix or a prefix of the columns. One binary search finds that
+//! crossover column; the children's segments on either side are copied
+//! and only the at most two segments it cuts are rescanned. A node
+//! therefore has at most `min(hi-lo, n)` segments.
 //!
 //! Per segment the envelope keeps the lexicographically best cell
 //! `(value, row, col)`, and a sparse table over those champions answers
@@ -26,10 +28,14 @@
 //! Queries therefore evaluate **zero** source-array entries, and cost
 //! `O(lg m · (lg n + B))` store reads each.
 //!
-//! The build evaluates each source entry exactly once (the row-store
-//! fill); every SMAWK pass and summary scan reads the store, not the
-//! source. Build loops call [`crate::guard::checkpoint`], so guarded
-//! builds honor deadlines and cancellation.
+//! The build evaluates each source entry exactly once, filling the row
+//! store (`m·n` copies plus one summary pass over the copy); merges read
+//! only the store. A merge into a node of `s` segments costs
+//! `O(lg n · lg s + s lg s)` plus `O(B + n/B)` reads per cut segment, so
+//! the fill dominates. Stores holding `±∞` sentinels merge column by
+//! column: `O(n)` per node. Build loops call
+//! [`crate::guard::checkpoint`], so guarded builds honor deadlines and
+//! cancellation.
 //!
 //! ```
 //! use monge_core::array2d::Dense;
@@ -48,11 +54,9 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::array2d::{Array2d, Dense, SubArray, Transpose};
+use crate::array2d::{Array2d, Dense};
 use crate::guard::{checkpoint, SolveError};
-use crate::problem::{lower_rows, mirror_indices, Objective, Structure};
-use crate::smawk::row_minima_totally_monotone;
-use crate::tiebreak::Tie;
+use crate::problem::{Objective, Structure};
 use crate::value::Value;
 
 /// Width of the row store's per-block summaries. Partial blocks at the
@@ -128,9 +132,10 @@ struct RowStore<T> {
     bmax_col: Vec<u32>,
     /// Any `±∞` sentinel present? Sentinel-bearing arrays satisfy the
     /// Monge inequality only in the absorbing arithmetic of
-    /// [`Value::add`], which is too weak for SMAWK's total-monotonicity
-    /// invariant (tied sentinels can move an argmin leftward), so the
-    /// envelope build swaps to a direct column sweep.
+    /// [`Value::add`], which does not keep the smallest owning row
+    /// monotone in the column (tied sentinels can move it back), so
+    /// envelope merges apply the winner test column by column instead
+    /// of searching for a single crossover.
     infinite: bool,
 }
 
@@ -185,8 +190,12 @@ impl<T: Value> RowStore<T> {
         }
     }
 
-    fn value(&self, row: usize, col: usize) -> T {
-        self.dense.entry(row, col)
+    fn cell(&self, row: u32, col: usize) -> Cand<T> {
+        Cand {
+            value: self.dense.entry(row as usize, col),
+            row,
+            col: col as u32,
+        }
     }
 
     /// Leftmost optimum of the stored row over `cols` (non-empty).
@@ -268,101 +277,117 @@ struct Envelope<T> {
 }
 
 impl<T: Value> Envelope<T> {
-    /// Builds the envelope of rows `[lo, hi)` from the store. Leaves
-    /// skip SMAWK entirely (one segment owned by the single row).
-    fn build(
+    fn empty() -> Self {
+        Envelope {
+            starts: Vec::new(),
+            owner: Vec::new(),
+            best_val: Vec::new(),
+            best_col: Vec::new(),
+            table: Vec::new(),
+        }
+    }
+
+    /// A leaf's envelope: one segment owned by the single row.
+    fn leaf(store: &RowStore<T>, objective: Objective, row: usize) -> Self {
+        let mut env = Self::empty();
+        env.push(0, store.scan(row, 0..store.dense.cols(), objective));
+        env
+    }
+
+    /// Merges the envelopes of two adjacent row slabs, `up` directly
+    /// above `down`, into the envelope of their union. Column `j` goes to
+    /// `down` only if the stored value of its owner strictly beats
+    /// `up`'s, so ties keep the smaller row.
+    ///
+    /// In a Monge or inverse-Monge slab the smallest owning row is
+    /// monotone in the column, so `down` wins a suffix of the columns
+    /// (Monge minima, inverse-Monge maxima) or a prefix (otherwise): a
+    /// binary search finds the crossover, each child's segments on its
+    /// side are copied, and only the at most two segments the crossover
+    /// cuts are rescanned. Sentinel-bearing stores lose that
+    /// monotonicity, so they apply the test column by column.
+    fn merge(
         store: &RowStore<T>,
         structure: Structure,
         objective: Objective,
-        rows: Range<usize>,
+        up: &Self,
+        down: &Self,
     ) -> Self {
-        checkpoint();
         let n = store.dense.cols();
-        let (lo, hi) = (rows.start, rows.end);
-        if hi - lo == 1 {
-            let champ = store.scan(lo, 0..n, objective);
-            return Envelope {
-                starts: vec![0],
-                owner: vec![lo as u32],
-                best_val: vec![champ.value],
-                best_col: vec![champ.col],
-                table: Vec::new(),
-            };
-        }
-        // Column extrema of the slab = row extrema of its transpose,
-        // which is (inverse-)Monge whenever the source is. The §1.2
-        // lowering plus SMAWK yields, per column, the smallest owning
-        // row (Tie::Left on the transpose's columns = rows here).
-        //
-        // Sentinel-bearing arrays (`±∞` staircase masks) are Monge only
-        // under absorbing addition — SMAWK's monotone-argmin invariant
-        // can break where sentinels tie — so they take a direct
-        // column sweep instead (same lex rule, O(rows·cols) per node).
-        let owners: Vec<usize> = if store.infinite {
-            (0..n)
-                .map(|j| {
-                    let mut best = lo;
-                    for i in lo + 1..hi {
-                        let better = match objective {
-                            Objective::Minimize => {
-                                T::total_lt(store.value(i, j), store.value(best, j))
-                            }
-                            Objective::Maximize => {
-                                T::total_lt(store.value(best, j), store.value(i, j))
-                            }
-                        };
-                        if better {
-                            best = i;
-                        }
+        let mut env = Self::empty();
+        if store.infinite {
+            let (mut su, mut sd) = (0, 0);
+            for j in 0..n {
+                su += usize::from(up.starts.get(su + 1) == Some(&(j as u32)));
+                sd += usize::from(down.starts.get(sd + 1) == Some(&(j as u32)));
+                let (u, d) = (store.cell(up.owner[su], j), store.cell(down.owner[sd], j));
+                let c = if d.beats(&u, objective) { d } else { u };
+                let s = env.owner.len();
+                if s > 0 && env.owner[s - 1] == c.row {
+                    if c.beats(&env.champion(s - 1), objective) {
+                        (env.best_val[s - 1], env.best_col[s - 1]) = (c.value, c.col);
                     }
-                    best - lo
-                })
-                .collect()
-        } else {
-            let slab = SubArray::new(&store.dense, lo..hi, 0..n);
-            let t = Transpose(&slab);
-            let (mut owners, mirror) =
-                lower_rows(&t, structure, objective, Tie::Left, |arr, tie| {
-                    row_minima_totally_monotone(&arr, tie)
-                });
-            if let Some(w) = mirror {
-                mirror_indices(&mut owners, w);
-            }
-            owners
-        };
-        let mut starts = Vec::new();
-        let mut owner = Vec::new();
-        let mut best_val = Vec::new();
-        let mut best_col = Vec::new();
-        for (j, &off) in owners.iter().enumerate() {
-            let row = (lo + off) as u32;
-            let v = store.value(lo + off, j);
-            if owner.last() == Some(&row) {
-                let s = best_val.len() - 1;
-                let better = match objective {
-                    Objective::Minimize => T::total_lt(v, best_val[s]),
-                    Objective::Maximize => T::total_lt(best_val[s], v),
-                };
-                if better {
-                    best_val[s] = v;
-                    best_col[s] = j as u32;
+                } else {
+                    env.push(j, c);
                 }
-            } else {
-                starts.push(j as u32);
-                owner.push(row);
-                best_val.push(v);
-                best_col.push(j as u32);
             }
+        } else {
+            let down_wins = |j: usize| {
+                let owner = |e: &Self| e.owner[e.locate(j as u32, &mut 0)];
+                store
+                    .cell(owner(down), j)
+                    .beats(&store.cell(owner(up), j), objective)
+            };
+            let down_suffix = (structure == Structure::Monge) == (objective == Objective::Minimize);
+            let (first, second) = if down_suffix { (up, down) } else { (down, up) };
+            // The crossover: the smallest column `second` owns.
+            let (mut lo, mut hi) = (0, n);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if down_wins(mid) == down_suffix {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            first.push_clipped(&mut env, store, objective, 0..lo);
+            second.push_clipped(&mut env, store, objective, lo..n);
         }
-        let mut env = Envelope {
-            starts,
-            owner,
-            best_val,
-            best_col,
-            table: Vec::new(),
-        };
         env.build_table(objective);
         env
+    }
+
+    /// Appends a segment starting at column `start` with champion `c`.
+    fn push(&mut self, start: usize, c: Cand<T>) {
+        self.starts.push(start as u32);
+        self.owner.push(c.row);
+        self.best_val.push(c.value);
+        self.best_col.push(c.col);
+    }
+
+    /// Appends this envelope's segments clipped to `cols`, rescanning
+    /// the champion of any segment the clip cuts short.
+    fn push_clipped(
+        &self,
+        out: &mut Self,
+        store: &RowStore<T>,
+        objective: Objective,
+        cols: Range<usize>,
+    ) {
+        let n = store.dense.cols();
+        for s in self.locate(cols.start as u32, &mut 0)..self.starts.len() {
+            let seg = self.starts[s] as usize..self.starts.get(s + 1).map_or(n, |&e| e as usize);
+            let clip = seg.start.max(cols.start)..seg.end.min(cols.end);
+            if clip.is_empty() {
+                break;
+            }
+            let champ = if clip == seg {
+                self.champion(s)
+            } else {
+                store.scan(self.owner[s] as usize, clip.clone(), objective)
+            };
+            out.push(clip.start, champ);
+        }
     }
 
     fn champion(&self, seg: usize) -> Cand<T> {
@@ -485,6 +510,15 @@ struct Node<T> {
     max_env: Envelope<T>,
 }
 
+impl<T> Node<T> {
+    fn env(&self, objective: Objective) -> &Envelope<T> {
+        match objective {
+            Objective::Minimize => &self.min_env,
+            Objective::Maximize => &self.max_env,
+        }
+    }
+}
+
 /// A submatrix-query index over a fixed Monge or inverse-Monge array —
 /// see the [module docs](self) for the structure. Build once with
 /// [`QueryIndex::build`], then serve [`QueryIndex::query_min`] /
@@ -514,10 +548,12 @@ impl<T: Value> std::fmt::Debug for QueryIndex<T> {
 impl<T: Value> QueryIndex<T> {
     /// Preprocesses `array` for rectangle min/max serving.
     ///
-    /// The build evaluates each source entry exactly once and runs
-    /// `O(m)` SMAWK passes over the internal store (`O(n lg m)` store
-    /// reads total). Loops call [`checkpoint`], so a guarded caller's
-    /// deadline or cancellation aborts mid-build.
+    /// The build evaluates each source entry exactly once (the row-store
+    /// fill), then builds the segment tree bottom-up, deriving each
+    /// internal node's envelopes from its children's with one crossover
+    /// search per objective; see the [module docs](self) for the costs.
+    /// Loops call [`checkpoint`], so a guarded caller's deadline or
+    /// cancellation aborts mid-build.
     ///
     /// # Errors
     ///
@@ -577,8 +613,13 @@ impl<T: Value> QueryIndex<T> {
                 Self::build_node(nodes, store, structure, mid, hi),
             )
         };
-        let min_env = Envelope::build(store, structure, Objective::Minimize, lo..hi);
-        let max_env = Envelope::build(store, structure, Objective::Maximize, lo..hi);
+        let [min_env, max_env] = [Objective::Minimize, Objective::Maximize].map(|objective| {
+            if left == NONE {
+                return Envelope::leaf(store, objective, lo);
+            }
+            let child = |k: u32| nodes[k as usize].env(objective);
+            Envelope::merge(store, structure, objective, child(left), child(right))
+        });
         nodes.push(Node {
             lo: lo as u32,
             hi: hi as u32,
@@ -681,13 +722,10 @@ impl<T: Value> QueryIndex<T> {
             return;
         }
         if rows.start <= lo && hi <= rows.end {
-            let env = match objective {
-                Objective::Minimize => &nd.min_env,
-                Objective::Maximize => &nd.max_env,
-            };
             fold(
                 best,
-                env.query(&self.store, objective, cols.clone(), probes),
+                nd.env(objective)
+                    .query(&self.store, objective, cols.clone(), probes),
                 objective,
             );
             return;
@@ -739,7 +777,148 @@ impl<T: Value> QueryIndex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array2d::Negate;
+    use crate::array2d::{Negate, SubArray, Transpose};
+    use crate::generators::{
+        apply_staircase, random_inverse_monge_dense, random_monge_dense, random_monge_dense_f64,
+        random_staircase_boundary, random_staircase_inverse_monge_dense,
+    };
+    use crate::monge::{is_inverse_monge, is_monge};
+    use crate::problem::{lower_rows, mirror_indices};
+    use crate::smawk::row_minima_totally_monotone;
+    use crate::tiebreak::Tie;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The per-node build that merging replaced: the smallest owning row
+    /// of every column of rows `[lo, hi)`, from SMAWK over the §1.2
+    /// lowering of the transposed slab (`Tie::Left` on the transpose =
+    /// smallest row), or from a direct column sweep when the store holds
+    /// `±∞` sentinels; then run-compressed into segments.
+    fn reference_envelope<T: Value>(
+        store: &RowStore<T>,
+        structure: Structure,
+        objective: Objective,
+        rows: Range<usize>,
+    ) -> Envelope<T> {
+        let n = store.dense.cols();
+        let lo = rows.start;
+        let owners: Vec<usize> = if store.infinite {
+            (0..n)
+                .map(|j| {
+                    rows.clone().fold(lo, |best, i| {
+                        let (c, b) = (store.cell(i as u32, j), store.cell(best as u32, j));
+                        if c.beats(&b, objective) {
+                            i
+                        } else {
+                            best
+                        }
+                    })
+                })
+                .collect()
+        } else {
+            let slab = SubArray::new(&store.dense, rows.clone(), 0..n);
+            let (mut owners, mirror) = lower_rows(
+                &Transpose(&slab),
+                structure,
+                objective,
+                Tie::Left,
+                |arr, tie| row_minima_totally_monotone(&arr, tie),
+            );
+            if let Some(w) = mirror {
+                mirror_indices(&mut owners, w);
+            }
+            owners.iter().map(|&off| lo + off).collect()
+        };
+        let mut env = Envelope::empty();
+        for (j, &row) in owners.iter().enumerate() {
+            let c = store.cell(row as u32, j);
+            let s = env.owner.len();
+            if s > 0 && env.owner[s - 1] == c.row {
+                if c.beats(&env.champion(s - 1), objective) {
+                    env.best_val[s - 1] = c.value;
+                    env.best_col[s - 1] = c.col;
+                }
+            } else {
+                env.push(j, c);
+            }
+        }
+        env.build_table(objective);
+        env
+    }
+
+    /// Every node's merged envelopes, both objectives, equal the
+    /// per-node reference field for field.
+    fn assert_matches_reference<T: Value>(a: &Dense<T>, structure: Structure, label: &str) {
+        // Under a broken promise the two builds may legitimately differ.
+        match structure {
+            Structure::Monge => assert!(is_monge(a), "{label}: input is not Monge"),
+            _ => assert!(is_inverse_monge(a), "{label}: input is not inverse-Monge"),
+        }
+        let ix = QueryIndex::build(a, structure).unwrap();
+        for nd in &ix.nodes {
+            let rows = nd.lo as usize..nd.hi as usize;
+            for (objective, env) in [
+                (Objective::Minimize, &nd.min_env),
+                (Objective::Maximize, &nd.max_env),
+            ] {
+                let want = reference_envelope(&ix.store, structure, objective, rows.clone());
+                let at = format!(
+                    "{label} {}x{} rows {rows:?} {objective:?}",
+                    a.rows(),
+                    a.cols()
+                );
+                assert_eq!(env.starts, want.starts, "{at}: starts");
+                assert_eq!(env.owner, want.owner, "{at}: owner");
+                assert_eq!(env.best_val, want.best_val, "{at}: best_val");
+                assert_eq!(env.best_col, want.best_col, "{at}: best_col");
+                assert_eq!(env.table, want.table, "{at}: table");
+            }
+        }
+    }
+
+    #[test]
+    fn merged_envelopes_match_the_per_node_reference() {
+        let mut rng = StdRng::seed_from_u64(15);
+        // 1×n, m×1, odd, m≠n, and rows wider than 2·BLOCK, so that cut
+        // segments are rescanned through the block summaries.
+        let shapes = [
+            (1, 1),
+            (1, 37),
+            (29, 1),
+            (7, 9),
+            (13, 5),
+            (33, 17),
+            (6, 2 * BLOCK + 3),
+            (17, 300),
+            (40, 301),
+        ];
+        for (m, n) in shapes {
+            let monge = random_monge_dense(m, n, &mut rng);
+            assert_matches_reference(&monge, Structure::Monge, "random Monge");
+            let inverse = random_inverse_monge_dense(m, n, &mut rng);
+            assert_matches_reference(&inverse, Structure::InverseMonge, "random inverse-Monge");
+            // `±∞` staircases: a non-decreasing `+∞` boundary keeps a
+            // Monge base Monge; the generator's non-increasing one keeps
+            // an inverse-Monge base inverse-Monge, and negating that
+            // gives a Monge array with `-∞` sentinels.
+            let mut f = random_staircase_boundary(m, n, &mut rng);
+            f.reverse();
+            let base = random_monge_dense(m, n, &mut rng);
+            assert_matches_reference(&apply_staircase(&base, &f), Structure::Monge, "+inf Monge");
+            let stair = random_staircase_inverse_monge_dense(m, n, &mut rng);
+            assert_matches_reference(&stair, Structure::InverseMonge, "+inf inverse-Monge");
+            let neg = Dense::tabulate(m, n, |i, j| stair.entry(i, j).neg());
+            assert_matches_reference(&neg, Structure::Monge, "-inf Monge");
+            // Flat bottom: long runs of tied zeros in every column.
+            let flat = Dense::tabulate(m, n, |i, j| ((3 * i as i64 - j as i64).abs() - 5).max(0));
+            assert_matches_reference(&flat, Structure::Monge, "flat-bottom Monge");
+            let equal = Dense::from_vec(m, n, vec![7i64; m * n]);
+            assert_matches_reference(&equal, Structure::Monge, "all-equal");
+            assert_matches_reference(&equal, Structure::InverseMonge, "all-equal");
+            let floats = random_monge_dense_f64(m, n, &mut rng);
+            assert_matches_reference(&floats, Structure::Monge, "f64 Monge");
+        }
+    }
 
     /// Brute rectangle optimum with the index's exact tie rule.
     fn brute<T: Value>(

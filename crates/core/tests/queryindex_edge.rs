@@ -154,7 +154,7 @@ fn inf_staircase_sentinels_answer_every_rect() {
 
 /// The evaluation-accounting contract. Build: exactly `m·n` source
 /// reads — the store copy is the only pass over the source; every
-/// SMAWK sweep reads the store. Queries: **zero** source reads, no
+/// envelope merge reads the store. Queries: **zero** source reads, no
 /// matter how many rectangles are answered.
 #[test]
 fn build_reads_each_entry_once_and_queries_read_nothing() {
