@@ -11,8 +11,9 @@
 //!   request pays calibration (hundreds of microseconds of timed probe
 //!   scans) plus its own selection/validation bookkeeping.
 //! * **batched** — one `solve_batch_report` call: problems grouped by
-//!   `(kind, structure, size-class)`, calibration paid once per group,
-//!   row-minima work Merge-Path-chunked across the pool.
+//!   `(kind, structure, size-class)`, one autotune decision (backend
+//!   and tuning) per group, then each member through the guarded
+//!   fallback chain from its group's backend, one after another.
 //!
 //! Per ladder row the JSON records best-of-reps wall clock for both
 //! modes, solves/sec, per-request p50/p99 latency for the loop and
@@ -37,6 +38,10 @@
 //! scan against the lane kernel per request, which the batch path pays
 //! once per group instead. On the default build dense calibration is
 //! only a few microseconds and the two modes run near parity.
+//!
+//! The committed rows were measured on an earlier batch path that cut
+//! each group's members into row strips across the pool; they have not
+//! been re-measured since that path was replaced.
 
 use monge_bench::json::{document, Record};
 use monge_bench::workloads::rng_for;
@@ -121,8 +126,7 @@ fn uniform(name: &'static str, count: usize, n: usize, tag: u64) -> Mix {
 
 /// The acceptance row: a few large problems next to a tail of small
 /// ones, all row minima — the shape where per-request calibration
-/// dominates the small requests and Merge-Path chunking has to keep
-/// the large ones from serializing the batch.
+/// dominates the small requests.
 fn mixed_sizes(quick: bool) -> Mix {
     let (big, big_n, mid, mid_n, small, small_n) = if quick {
         (1, 128, 2, 64, 4, 32)

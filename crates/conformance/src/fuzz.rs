@@ -49,7 +49,6 @@ pub const TINY_GRAIN: Tuning = Tuning {
     seq_rows: 1,
     tube_seq_planes: 1,
     pram_base_rows: 1,
-    batch_chunks_per_thread: 1,
     kernel: monge_core::kernel::Kernel::Auto,
 };
 

@@ -69,18 +69,18 @@ fn batch_equals_guarded_loop_on_mixed_kind_corpus() {
     assert!(covered.iter().all(|&c| c), "a problem kind went untested");
 }
 
-/// A panicking member degrades alone: its strips die, it is downgraded
-/// onto the fallback chain, and — because the injector panics without
+/// A panicking member degrades alone: its first chain links die, its
+/// fallback chain carries on, and — because the injector panics without
 /// corrupting entries — it still converges to the clean answer. Its
-/// group-mates and every other group stay on the fused path.
+/// group-mates answer on their first link.
 #[test]
 fn injected_panics_degrade_only_the_affected_problem() {
     let mut rng = StdRng::seed_from_u64(0xFA17_BA7C);
     let clean: Vec<Dense<i64>> = (0..4)
         .map(|_| random_monge_dense(32, 32, &mut rng))
         .collect();
-    // Two panics: the fused strip dies once, the first downgraded chain
-    // link dies once, and the chain's next link sees a healthy array.
+    // Two panics: the first two chain links die once each, and the
+    // chain's next link sees a healthy array.
     let plan = FaultPlan::none(7).panics(1000).panic_budget(2);
     let faulty = FaultInjector::new(clean[0].clone(), plan, 0i64);
 
@@ -117,13 +117,17 @@ fn injected_panics_degrade_only_the_affected_problem() {
         "faulted member must record its fallback: {:?}",
         degraded.fallback_path()
     );
-    for tel in &report.telemetry[1..] {
+    for (a, tel) in clean[1..].iter().zip(&report.telemetry[1..]) {
         let outcome = tel.guard.as_ref().expect("guard outcome");
+        let backend = d
+            .select(&Problem::row_minima(a), &Tuning::from_env())
+            .name();
         assert_eq!(
             outcome.fallback_path(),
-            vec!["batch"],
-            "an unfaulted member left the fused path"
+            vec![backend],
+            "an unfaulted member left its first link"
         );
+        assert_eq!(outcome.fallback_depth(), 0);
     }
 }
 
@@ -179,9 +183,9 @@ fn deadline_starves_only_the_affected_group() {
     }
 }
 
-/// Load shedding with `shed_above`: an over-budget group leaves the
-/// fused path (downgraded member by member onto the guarded chain) but
-/// still returns loop-identical answers, and cheap groups stay fused.
+/// Load shedding with `shed_above`: an over-budget group skips its
+/// group decision (each member starts at the grain-policy choice) but
+/// still returns loop-identical answers.
 #[test]
 fn shed_groups_still_match_the_loop() {
     let d = Dispatcher::with_default_backends();

@@ -101,39 +101,6 @@ pub fn pooled_buffers<T: 'static>() -> usize {
     POOLS.with(|p| p.borrow().get(&TypeId::of::<Vec<T>>()).map_or(0, Vec::len))
 }
 
-/// Pre-grows this thread's pool so that at least `buffers` buffers of
-/// element type `T`, each with capacity ≥ `capacity`, are checked in.
-///
-/// The arenas are already grow-only, so steady state allocates nothing;
-/// `prewarm` moves the one-time growth off the measured path. A batch
-/// session broadcasts this to every worker thread once per group (with
-/// the group's widest scan as `capacity`) so the first chunk of each
-/// worker hits a warm buffer instead of paying the growth `memcpy`s
-/// mid-solve. Idempotent: pools already warm enough are untouched.
-pub fn prewarm<T: 'static>(buffers: usize, capacity: usize) {
-    POOLS.with(|p| {
-        let mut pools = p.borrow_mut();
-        let pool = pools.entry(TypeId::of::<Vec<T>>()).or_default();
-        // Grow existing cold buffers first, then top up the count.
-        let mut warm = 0usize;
-        for b in pool.iter_mut() {
-            if warm == buffers {
-                break;
-            }
-            let v = b
-                .downcast_mut::<Vec<T>>()
-                .expect("pool entries are keyed by their exact Vec<T> TypeId");
-            if v.capacity() < capacity {
-                v.reserve(capacity - v.len());
-            }
-            warm += 1;
-        }
-        for _ in warm..buffers {
-            pool.push(Box::new(Vec::<T>::with_capacity(capacity)));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,18 +141,6 @@ mod tests {
         });
         assert!(pooled_buffers::<i64>() >= 1);
         assert!(pooled_buffers::<usize>() >= 1);
-    }
-
-    #[test]
-    fn prewarm_grows_the_pool_and_is_idempotent() {
-        prewarm::<u32>(3, 512);
-        assert!(pooled_buffers::<u32>() >= 3);
-        with_scratch(|b: &mut Vec<u32>| {
-            assert!(b.capacity() >= 512, "checkout hits a prewarmed buffer");
-        });
-        let before = pooled_buffers::<u32>();
-        prewarm::<u32>(3, 512);
-        assert_eq!(pooled_buffers::<u32>(), before, "idempotent when warm");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! `row_view`, the borrowed slice must agree too.
 
 use monge_core::array2d::{
-    Array2d, FnArray, Negate, Plus, ReverseCols, ReverseRows, SelectCols, SelectRows,
-    SubArray, Transpose,
+    Array2d, FnArray, Negate, Plus, ReverseCols, ReverseRows, SelectCols, SelectRows, SubArray,
+    Transpose,
 };
 use monge_core::eval::{CachedArray, CountingArray};
 use monge_core::generators::{random_monge_dense, ImplicitMonge, TransportArray};

@@ -500,7 +500,7 @@ fn render_table(fingerprint: &str, entries: &[(AutotuneKey, Winner)]) -> String 
         .map(|(k, w)| {
             let t = &w.tuning;
             format!(
-                "    {{\"kind\": \"{}\", \"structure\": {}, \"elem\": \"{}\", \"size_class\": {}, \"simd\": {}, \"backend\": \"{}\", \"seq_scan\": {}, \"seq_rows\": {}, \"tube_seq_planes\": {}, \"pram_base_rows\": {}, \"batch_chunks\": {}, \"kernel\": \"{}\"}}",
+                "    {{\"kind\": \"{}\", \"structure\": {}, \"elem\": \"{}\", \"size_class\": {}, \"simd\": {}, \"backend\": \"{}\", \"seq_scan\": {}, \"seq_rows\": {}, \"tube_seq_planes\": {}, \"pram_base_rows\": {}, \"kernel\": \"{}\"}}",
                 kind_str(k.kind),
                 k.structure,
                 k.elem,
@@ -511,7 +511,6 @@ fn render_table(fingerprint: &str, entries: &[(AutotuneKey, Winner)]) -> String 
                 t.seq_rows,
                 t.tube_seq_planes,
                 t.pram_base_rows,
-                t.batch_chunks_per_thread,
                 kernel_str(t.kernel),
             )
         })
@@ -578,7 +577,6 @@ fn parse_entry(line: &str) -> Option<(AutotuneKey, Winner)> {
         seq_rows: positive(num("seq_rows")?)?,
         tube_seq_planes: positive(num("tube_seq_planes")?)?,
         pram_base_rows: positive(num("pram_base_rows")?)?,
-        batch_chunks_per_thread: positive(num("batch_chunks")?)?,
         kernel: Kernel::parse(&field(line, "kernel")?)?,
     };
     let backend = field(line, "backend")?;
@@ -882,7 +880,6 @@ mod tests {
                 seq_rows: 32,
                 tube_seq_planes: 4,
                 pram_base_rows: 4,
-                batch_chunks_per_thread: 8,
                 kernel: Kernel::Scalar,
             },
         };

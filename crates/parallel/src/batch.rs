@@ -2,11 +2,12 @@
 //! streams ([`Dispatcher::solve_batch`]) and a [`SolverService`] front
 //! door with per-tenant telemetry rollups.
 //!
-//! A one-at-a-time serving loop pays per request for everything the
-//! dispatch stack does once per solve: grain calibration (hundreds of
-//! microseconds of timed probe scans), backend selection, kernel
-//! pinning, structure validation, scratch-arena warm-up. This module
-//! amortizes those costs across a whole batch:
+//! A one-at-a-time serving loop pays per request for the decisions the
+//! dispatch stack makes once per solve: grain calibration (hundreds of
+//! microseconds of timed probe scans), backend selection and tuning
+//! resolution. This module makes them once per group of alike problems
+//! and runs every member through the same guarded attempt primitive as
+//! `solve_guarded`:
 //!
 //! 1. **Admission.** Every problem is precondition-checked and its
 //!    structural promise validated exactly once (the same
@@ -16,31 +17,26 @@
 //!    `(ProblemKind, structure, size-class)` — the same coordinates as
 //!    the persistent autotuner's key ([`crate::autotune`]), so one
 //!    table lookup (or one single-flight measurement, keyed by the
-//!    group's largest member) resolves the [`Tuning`] for every
-//!    member; the decision's provenance is stamped into each member's
-//!    [`Telemetry`].
-//! 3. **Merge-Path chunking.** Each group's row-minima work is
-//!    flattened into one global work list of *units* (rows for the
-//!    rows/staircase/banded families, planes for tubes) and split into
-//!    equal-*cost* contiguous chunks by prefix-summed per-problem cost
-//!    estimates — the Merge Path idiom (Green–Odeh–Birk): chunk
-//!    boundaries fall where the cost prefix crosses `k·total/C`, so a
-//!    batch of one 16384-row problem and five hundred 64-row problems
-//!    load-balances instead of serializing on the big one. Chunks run
-//!    across the rayon pool; answers are per-row (per-plane) properties
-//!    of the array, so stitching the strips back together is
-//!    bitwise-identical to solving each problem whole.
-//! 4. **Admission control.** A per-batch deadline is carved into
-//!    per-group slices proportional to estimated cost; every chunk
-//!    checks its group's [`CancelToken`] at strip boundaries (and the
-//!    engines checkpoint inside strips). Groups whose estimated cost
-//!    exceeds [`BatchPolicy::max_group_cost`] are **shed**: downgraded
-//!    onto the `solve_guarded` fallback chain one problem at a time
-//!    rather than failing the batch. A panicking or deadline-starved
-//!    strip likewise downgrades only its own problem.
-//! 5. **Rollups.** Per-problem [`Telemetry`] is merged via
+//!    group's costliest member) decides the backend and the [`Tuning`]
+//!    for every member; the decision's provenance is stamped into each
+//!    member's [`Telemetry`].
+//! 3. **Admission control.** A per-batch deadline is carved into
+//!    per-group slices proportional to estimated cost. Each member walks
+//!    the guarded fallback chain from its group's backend, without
+//!    re-validating, with what remains of its group's slice as its
+//!    deadline: a panicking or starved member degrades alone.
+//!    Quarantined members run the brute-force terminal alone. Groups
+//!    whose estimated cost exceeds [`BatchPolicy::max_group_cost`] are
+//!    **shed**: they skip the group decision, and each member's chain
+//!    starts at the grain-policy choice.
+//! 4. **Rollups.** Per-problem [`Telemetry`] is merged via
 //!    [`Telemetry::merge`]; the [`SolverService`] accumulates the same
 //!    rollups per tenant.
+//!
+//! Members run one after another on the calling thread; a member's
+//! backend may still fork internally. A serving drain's groups hold two
+//! or three members each, too few for splitting them across threads to
+//! pay for the forks.
 //!
 //! ```
 //! use monge_core::array2d::Dense;
@@ -61,36 +57,20 @@
 //! ```
 
 use std::collections::HashMap;
-use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rayon::prelude::*;
-
-use monge_core::array2d::SubArray;
-use monge_core::guard::{
-    payload_to_string, with_cancellation, Attempt, AttemptOutcome, CancelToken, Cancelled,
-    GuardOutcome, GuardPolicy, SolveError, Validation, ViolationAction,
-};
+use monge_core::guard::{CancelToken, GuardPolicy, SolveError};
 use monge_core::problem::{Problem, ProblemKind, Solution, Structure, Telemetry, TuningProvenance};
 use monge_core::queryindex::QueryIndex;
-use monge_core::scratch;
-use monge_core::smawk::RowExtrema;
-use monge_core::tube::TubeExtrema;
 use monge_core::value::Value;
 
-use crate::dispatch::{Backend, Dispatcher};
-use crate::guarded::{input_preconditions, validate, BruteForceBackend, BRUTE};
-use crate::health::{Admission, Observation};
+use crate::dispatch::{AutotuneDecision, Dispatcher};
 use crate::tuning::Tuning;
 
-/// The [`Telemetry::backend`] / [`Attempt::backend`] label of a solve
-/// executed by the fused batch path.
-pub const BATCH: &str = "batch";
-
 /// How a batch executes: guard semantics per problem, a wall-clock
-/// budget for the whole batch, and the amortization knobs.
+/// budget for the whole batch, and how each group's backend and tuning
+/// are decided.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPolicy {
     /// Per-problem guard semantics: validation mode, violation action,
@@ -102,17 +82,20 @@ pub struct BatchPolicy {
     /// slices proportional to estimated cost. A starved group degrades
     /// to [`SolveError::DeadlineExceeded`] for its own members only.
     pub deadline: Option<Duration>,
-    /// Calibrate the grain cutoffs once per group against the group's
-    /// most expensive member (default `true`). Ignored when
-    /// [`BatchPolicy::tuning`] is set.
+    /// Decide each group's backend and tuning through the autotuner,
+    /// once, keyed by the group's most expensive member (default
+    /// `true`). When off, or when [`BatchPolicy::tuning`] is set,
+    /// members run with the environment (or explicit) tuning and start
+    /// at the grain-policy choice.
     pub calibrate: bool,
-    /// Explicit tuning override: beats calibration and the environment,
-    /// matching the per-call precedence of [`crate::tuning`].
+    /// Explicit tuning override: beats the autotuner and the
+    /// environment, matching the per-call precedence of
+    /// [`crate::tuning`].
     pub tuning: Option<Tuning>,
     /// Load-shedding threshold: groups whose estimated cost (in entry
-    /// evaluations) exceeds this are not fused; their members are
-    /// downgraded onto the `solve_guarded` fallback chain one at a
-    /// time. `None` (the default) never sheds.
+    /// evaluations) exceeds this skip the group decision, and each
+    /// member starts its fallback chain at the grain-policy choice.
+    /// `None` (the default) never sheds.
     pub max_group_cost: Option<u64>,
 }
 
@@ -143,14 +126,15 @@ impl BatchPolicy {
         self
     }
 
-    /// Pins an explicit tuning instead of calibrating per group.
+    /// Pins an explicit tuning instead of deciding per group.
     #[must_use]
     pub fn with_tuning(mut self, t: Tuning) -> Self {
         self.tuning = Some(t);
         self
     }
 
-    /// Disables per-group calibration (environment-seeded tuning).
+    /// Disables the per-group autotune decision (environment-seeded
+    /// tuning, grain-policy backends).
     #[must_use]
     pub fn without_calibration(mut self) -> Self {
         self.calibrate = false;
@@ -175,8 +159,7 @@ pub struct BatchReport<T> {
     pub telemetry: Vec<Telemetry>,
     /// How many `(kind, structure, size-class)` groups the batch formed.
     pub groups: usize,
-    /// How many groups were shed onto the fallback chain by
-    /// [`BatchPolicy::max_group_cost`].
+    /// How many groups were shed by [`BatchPolicy::max_group_cost`].
     pub shed_groups: usize,
 }
 
@@ -196,7 +179,7 @@ struct GroupKey {
     /// construction).
     structure: u8,
     /// `floor(log2(search area)) + 1` — members of one class are within
-    /// 2× of each other, so one calibrated tuning fits all.
+    /// 2× of each other, so one decided tuning fits all.
     size_class: u32,
 }
 
@@ -216,11 +199,11 @@ fn structured_row_cost(m: usize, n: usize) -> u64 {
     (n / m.max(1)) as u64 + lg
 }
 
-/// The cost model behind the Merge-Path chunk boundaries:
-/// `(units, per-unit cost)` where a *unit* is one row (one plane for
-/// tubes) and the cost is an estimated entry-evaluation count.
-fn cost_model<T: Value>(p: &Problem<'_, T>) -> (usize, u64) {
-    match *p {
+/// Estimated entry evaluations of one solve: the weight behind the
+/// deadline slices, the shed threshold and the choice of a group's
+/// costliest member. Zero only for a problem with no rows (planes).
+fn estimated_cost<T: Value>(p: &Problem<'_, T>) -> u128 {
+    let (units, unit) = match *p {
         Problem::Rows {
             array, structure, ..
         } => {
@@ -230,11 +213,11 @@ fn cost_model<T: Value>(p: &Problem<'_, T>) -> (usize, u64) {
             } else {
                 structured_row_cost(m, n)
             };
-            (m, unit.max(1))
+            (m, unit)
         }
         Problem::Staircase { array, .. } => {
             let (m, n) = (array.rows(), array.cols());
-            (m, structured_row_cost(m, n).max(1))
+            (m, structured_row_cost(m, n))
         }
         Problem::Banded { lo, hi, .. } => {
             let m = lo.len();
@@ -243,225 +226,22 @@ fn cost_model<T: Value>(p: &Problem<'_, T>) -> (usize, u64) {
                 .zip(hi)
                 .map(|(&l, &h)| h.saturating_sub(l) as u64)
                 .sum();
-            (m, (total / m.max(1) as u64).max(1))
+            (m, total / m.max(1) as u64)
         }
         // A tube plane is a full SMAWK pass over an r×q Monge plane,
         // ~5(q + r) entries (cf. the calibration model in `runtime`).
-        Problem::Tube { d, e, .. } => (d.rows(), (5 * (d.cols() + e.cols())).max(1) as u64),
-    }
-}
-
-/// One contiguous piece of one problem's unit range, assigned to a
-/// chunk.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Strip {
-    /// Index into the group's member list (not the batch).
-    member: usize,
-    /// Unit (row / plane) range of that member.
-    units: Range<usize>,
-}
-
-/// Splits the group's concatenated unit list into ≤ `chunks` contiguous
-/// pieces of roughly equal cost: chunk `k` ends where the prefix-summed
-/// cost crosses `(k+1)·total/chunks`. Exact partition — every unit of
-/// every member lands in exactly one strip, in order.
-fn plan_chunks(costs: &[(usize, u64)], chunks: usize) -> Vec<Vec<Strip>> {
-    let total: u128 = costs.iter().map(|&(u, c)| u as u128 * c as u128).sum();
-    let total_units: usize = costs.iter().map(|&(u, _)| u).sum();
-    if total_units == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.clamp(1, total_units);
-    let target = (total / chunks as u128).max(1);
-    let mut plan: Vec<Vec<Strip>> = Vec::new();
-    let mut cur: Vec<Strip> = Vec::new();
-    let mut acc: u128 = 0;
-    let mut cut = target;
-    for (member, &(units, unit_cost)) in costs.iter().enumerate() {
-        let mut u0 = 0usize;
-        while u0 < units {
-            let take = if plan.len() + 1 >= chunks {
-                // Terminal chunk: absorb the remainder.
-                units - u0
-            } else {
-                let room = cut.saturating_sub(acc);
-                (room.div_ceil(unit_cost.max(1) as u128).max(1) as usize).min(units - u0)
-            };
-            cur.push(Strip {
-                member,
-                units: u0..u0 + take,
-            });
-            acc += take as u128 * unit_cost as u128;
-            u0 += take;
-            if acc >= cut && plan.len() + 1 < chunks {
-                plan.push(std::mem::take(&mut cur));
-                cut += target;
-            }
-        }
-    }
-    if !cur.is_empty() {
-        plan.push(cur);
-    }
-    plan
-}
-
-/// Solves one strip by building the sub-problem over a row (plane)
-/// window of the original arrays and running the group's backend on it.
-/// Row-minima answers are per-row properties (per-plane for tubes), so
-/// strip answers are bitwise-identical to the corresponding rows of the
-/// whole-problem answer.
-fn solve_strip<T: Value>(
-    dispatcher: &Dispatcher<T>,
-    backend: &dyn Backend<T>,
-    problem: &Problem<'_, T>,
-    units: Range<usize>,
-    tuning: &Tuning,
-) -> (Solution<T>, Telemetry) {
-    // A strip spanning the whole problem needs no window: run the
-    // original directly, skipping the SubArray indirection on every
-    // entry read (the common case for members smaller than one chunk).
-    if units == (0..problem.primary_array().rows()) {
-        return dispatcher.run(backend, problem, tuning);
-    }
-    match *problem {
-        Problem::Rows {
-            array,
-            structure,
-            objective,
-            tie,
-            ..
-        } => {
-            let sub = SubArray::new(array, units, 0..array.cols());
-            let p = Problem::Rows {
-                array: &sub,
-                structure,
-                objective,
-                tie,
-                rank: None,
-            };
-            dispatcher.run(backend, &p, tuning)
-        }
-        Problem::Staircase {
-            array,
-            boundary,
-            structure,
-            ..
-        } => {
-            let sub = SubArray::new(array, units.clone(), 0..array.cols());
-            let p = Problem::Staircase {
-                array: &sub,
-                boundary: &boundary[units],
-                structure,
-                rank: None,
-            };
-            dispatcher.run(backend, &p, tuning)
-        }
-        Problem::Banded {
-            array,
-            lo,
-            hi,
-            objective,
-        } => {
-            let sub = SubArray::new(array, units.clone(), 0..array.cols());
-            let p = Problem::Banded {
-                array: &sub,
-                lo: &lo[units.clone()],
-                hi: &hi[units],
-                objective,
-            };
-            dispatcher.run(backend, &p, tuning)
-        }
-        Problem::Tube { d, e, objective } => {
-            let sub = SubArray::new(d, units, 0..d.cols());
-            let p = Problem::Tube {
-                d: &sub,
-                e,
-                objective,
-            };
-            dispatcher.run(backend, &p, tuning)
-        }
-    }
-}
-
-/// Concatenates a problem's strip solutions (already in unit order)
-/// back into the whole-problem solution, merging the strip telemetries.
-fn stitch<T: Value>(
-    problem: &Problem<'_, T>,
-    parts: Vec<StripPart<T>>,
-) -> (Solution<T>, Telemetry) {
-    let mut tel = Telemetry::merge(parts.iter().map(|(_, _, t)| t));
-    tel.backend = BATCH;
-    let sol = match *problem {
-        Problem::Rows { .. } | Problem::Staircase { .. } => {
-            let mut index = Vec::new();
-            let mut value = Vec::new();
-            for (_, s, _) in parts {
-                let r = s.into_rows();
-                index.extend(r.index);
-                value.extend(r.value);
-            }
-            Solution::Rows(RowExtrema { index, value })
-        }
-        Problem::Banded { .. } => {
-            let mut index = Vec::new();
-            let mut value = Vec::new();
-            for (_, s, _) in parts {
-                if let Solution::Banded {
-                    index: si,
-                    value: sv,
-                } = s
-                {
-                    index.extend(si);
-                    value.extend(sv);
-                }
-            }
-            Solution::Banded { index, value }
-        }
-        Problem::Tube { e, .. } => {
-            let r = e.cols();
-            let mut p = 0;
-            let mut index = Vec::new();
-            let mut value = Vec::new();
-            for (_, s, _) in parts {
-                let t = s.into_tube();
-                p += t.p;
-                index.extend(t.index);
-                value.extend(t.value);
-            }
-            Solution::Tube(TubeExtrema { p, r, index, value })
-        }
+        Problem::Tube { d, e, .. } => (d.rows(), 5 * (d.cols() + e.cols()) as u64),
     };
-    (sol, tel)
-}
-
-/// One stitchable strip output: `(unit range, solution, telemetry)`.
-type StripPart<T> = (Range<usize>, Solution<T>, Telemetry);
-
-/// One chunk strip record: `(member index, unit range, result)`, where
-/// `None` marks a strip lost to a panic or to the group's cancellation.
-type ChunkStrip<T> = (usize, Range<usize>, Option<(Solution<T>, Telemetry)>);
-
-/// What one chunk produced: strip outputs in order, plus the fault
-/// kinds it observed (fed to the health registry at group granularity).
-struct ChunkOut<T> {
-    strips: Vec<ChunkStrip<T>>,
-    lost_panic: bool,
-    lost_deadline: bool,
-}
-
-/// Group-level fused outcome: whether any strip was lost, and to what.
-#[derive(Clone, Copy, Debug, Default)]
-struct FusedOutcome {
-    lost_panic: bool,
-    lost_deadline: bool,
+    units as u128 * unit.max(1) as u128
 }
 
 impl<T: Value> Dispatcher<T> {
     /// Solves a batch of heterogeneous problems with amortized dispatch:
-    /// grouped by `(kind, structure, size-class)`, one tuning resolution
-    /// and one backend selection per group, Merge-Path chunking across
-    /// the rayon pool, per-group deadline slices and load shedding. See
-    /// the [module docs](crate::batch) and [`BatchPolicy`].
+    /// grouped by `(kind, structure, size-class)`, one backend and
+    /// tuning decision per group, each member through the guarded
+    /// fallback chain from its group's backend, per-group deadline
+    /// slices and load shedding. See the [module docs](crate::batch)
+    /// and [`BatchPolicy`].
     ///
     /// Results are in input order; each problem fails or succeeds
     /// individually, with the same answers a sequential
@@ -488,475 +268,120 @@ impl<T: Value> Dispatcher<T> {
         let mut telemetry: Vec<Telemetry> = (0..n).map(|_| Telemetry::default()).collect();
 
         // --- Admission: preconditions + exactly one validation per
-        //     request (the fused path never re-validates, no matter how
-        //     many strips or fallbacks a problem sees). ---
-        let mut admitted: Vec<usize> = Vec::new();
+        //     request. Admitted problems are grouped in first-appearance
+        //     order; quarantined ones form a brute-force lane. ---
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut by_key: HashMap<GroupKey, usize> = HashMap::new();
         let mut quarantined: Vec<usize> = Vec::new();
         for (i, p) in problems.iter().enumerate() {
-            if let Err(reason) = input_preconditions(p) {
-                results[i] = Some(Err(SolveError::InvalidInput { reason }));
-                continue;
-            }
-            let t0 = Instant::now();
-            let validated = catch_unwind(AssertUnwindSafe(|| validate(p, &policy.guard)));
-            let mut outcome = GuardOutcome {
-                validation: policy.guard.validation,
-                ..GuardOutcome::default()
-            };
-            outcome.validation_nanos = t0.elapsed().as_nanos();
-            match validated {
-                Ok(Ok(())) => {
-                    telemetry[i].guard = Some(outcome);
-                    admitted.push(i);
-                }
-                Ok(Err(witness)) => match policy.guard.on_violation {
-                    ViolationAction::Fail => {
-                        results[i] = Some(Err(SolveError::StructureViolation(witness)));
-                    }
-                    ViolationAction::Quarantine => {
-                        outcome.quarantined = true;
-                        outcome.witness = Some(*witness);
-                        telemetry[i].guard = Some(outcome);
+            match self.admit(p, &policy.guard) {
+                Ok(verdict) => {
+                    if verdict.quarantined {
                         quarantined.push(i);
+                    } else {
+                        let g = *by_key.entry(group_key(p)).or_insert_with(|| {
+                            groups.push(Vec::new());
+                            groups.len() - 1
+                        });
+                        groups[g].push(i);
                     }
-                },
-                Err(payload) => {
-                    results[i] = Some(Err(SolveError::BackendPanic {
-                        backend: "validator",
-                        payload: payload_to_string(payload.as_ref()),
-                    }));
+                    telemetry[i].guard = Some(verdict);
                 }
+                Err(e) => results[i] = Some(Err(e)),
             }
         }
 
-        // --- Grouping (deterministic first-appearance order). ---
-        let mut groups: Vec<(GroupKey, Vec<usize>)> = Vec::new();
-        let mut by_key: HashMap<GroupKey, usize> = HashMap::new();
-        for &i in &admitted {
-            let key = group_key(&problems[i]);
-            let g = *by_key.entry(key).or_insert_with(|| {
-                groups.push((key, Vec::new()));
-                groups.len() - 1
-            });
-            groups[g].1.push(i);
-        }
-
-        // --- Deadline carving: per-group slices proportional to
-        //     estimated cost (quarantined problems form a brute-force
-        //     pseudo-group). ---
-        let cost_of = |i: usize| -> u128 {
-            let (units, unit) = cost_model(&problems[i]);
-            units as u128 * unit as u128
-        };
+        // --- Deadline carving: per-lane slices proportional to
+        //     estimated cost (the brute scan's for the quarantine lane).
         let group_costs: Vec<u128> = groups
             .iter()
-            .map(|(_, members)| members.iter().map(|&i| cost_of(i)).sum())
+            .map(|members| members.iter().map(|&i| estimated_cost(&problems[i])).sum())
             .collect();
         let quarantine_cost: u128 = quarantined
             .iter()
             .map(|&i| {
                 let (m, n) = problems[i].search_shape();
-                (m as u128 * n as u128).max(1)
+                m as u128 * n as u128
             })
             .sum();
-        let total_cost: u128 = (group_costs.iter().sum::<u128>() + quarantine_cost).max(1);
-        let slice_for = |cost: u128| -> Option<Duration> {
-            policy
-                .deadline
-                .map(|d| Duration::from_secs_f64(d.as_secs_f64() * cost as f64 / total_cost as f64))
-        };
+        let total_cost = (group_costs.iter().sum::<u128>() + quarantine_cost).max(1);
 
-        // --- Execute each group: fused, or shed onto the guarded
-        //     fallback chain. ---
+        // --- One decision per lane, then the guarded primitive once
+        //     per member. ---
         let mut shed_groups = 0usize;
-        for ((_, members), &gcost) in groups.iter().zip(&group_costs) {
-            let token = slice_for(gcost).map(CancelToken::with_deadline);
-            let (tuning, provenance) = self.resolve_group_tuning(policy, members, problems);
-            let shed = policy.max_group_cost.is_some_and(|c| gcost > c as u128);
-            // The fused path runs on the sequential engine; its circuit
-            // breaker gates group selection. An Open circuit downgrades
-            // the whole group onto the guarded chain (which does its own
-            // per-link admission) instead of fusing onto a backend that
-            // is currently faulting.
-            let sequential = self.find("sequential");
-            let fused_admission = match (&sequential, shed) {
-                (Some(_), false) => self.health().admit("sequential"),
-                _ => Admission::Allow,
+        let lanes = groups
+            .iter()
+            .zip(group_costs)
+            .map(|(members, cost)| (members, cost, false))
+            .chain(std::iter::once((&quarantined, quarantine_cost, true)));
+        for (members, cost, brute_only) in lanes {
+            if members.is_empty() {
+                continue;
+            }
+            // A lane without rows has nothing to cancel.
+            let slice = policy
+                .deadline
+                .filter(|_| cost > 0)
+                .map(|d| CancelToken::with_deadline(d.mul_f64(cost as f64 / total_cost as f64)));
+            let shed = !brute_only && policy.max_group_cost.is_some_and(|c| cost > c as u128);
+            shed_groups += usize::from(shed);
+            let decision = if brute_only || shed || policy.tuning.is_some() || !policy.calibrate {
+                AutotuneDecision {
+                    tuning: policy.tuning.unwrap_or_else(Tuning::from_env),
+                    backend: None,
+                    provenance: TuningProvenance::Default,
+                }
+            } else {
+                // The group key and the autotune key share their
+                // coordinates, so one table entry covers the group.
+                let costliest = members
+                    .iter()
+                    .copied()
+                    .max_by_key(|&i| estimated_cost(&problems[i]))
+                    .expect("lane is not empty");
+                self.autotune_decision(&problems[costliest])
             };
-            let breaker_denied = matches!(fused_admission, Admission::Deny { .. });
-            match (shed || breaker_denied, sequential) {
-                (false, Some(seq)) => {
-                    let t_group = Instant::now();
-                    let fused = self.run_group_fused(
-                        problems,
-                        members,
-                        seq,
-                        &tuning,
-                        &token,
-                        policy,
-                        start,
-                        &mut results,
-                        &mut telemetry,
-                    );
-                    // One observation per fused group resolves a probe
-                    // and keeps the window's granularity independent of
-                    // group size.
-                    let group_nanos = t_group.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    let observed = if fused.lost_deadline {
-                        Observation::Deadline
-                    } else if fused.lost_panic {
-                        Observation::Panic
-                    } else {
-                        Observation::Ok
-                    };
-                    self.health().record("sequential", observed, group_nanos);
-                }
-                _ => {
-                    if shed {
-                        shed_groups += 1;
-                    }
-                    for &i in members {
-                        let (res, tel) = self.downgrade_solve(&problems[i], policy, &token, tuning);
-                        merge_downgrade(&mut telemetry[i], tel);
-                        if breaker_denied {
-                            telemetry[i].breaker_skips =
-                                telemetry[i].breaker_skips.saturating_add(1);
-                        }
-                        results[i] = Some(res);
-                    }
-                }
-            }
-            // One group decision covers every member; stamp it after
-            // the executors have written their telemetry.
+            let first = decision
+                .backend
+                .as_deref()
+                .and_then(|name| self.find(name))
+                .map(|b| b.name());
             for &i in members {
-                telemetry[i].provenance = Some(provenance);
-            }
-        }
-
-        // --- Quarantine pseudo-group: brute force, which is correct
-        //     without the structural promise. ---
-        if !quarantined.is_empty() {
-            let token = slice_for(quarantine_cost).map(CancelToken::with_deadline);
-            let brute = BruteForceBackend;
-            let tuning = Tuning::from_env();
-            for &i in &quarantined {
-                if token.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    results[i] = Some(Err(self.batch_deadline_error(start, policy)));
-                    continue;
-                }
-                let attempt = catch_unwind(AssertUnwindSafe(|| match &token {
-                    Some(tok) => with_cancellation(tok, || self.run(&brute, &problems[i], &tuning)),
-                    None => self.run(&brute, &problems[i], &tuning),
-                }));
-                match attempt {
-                    Ok((sol, mut tel)) => {
-                        let mut outcome = telemetry[i].guard.take().unwrap_or_default();
-                        outcome.attempts.push(Attempt {
-                            backend: BRUTE,
-                            outcome: AttemptOutcome::Completed,
-                        });
-                        tel.guard = Some(outcome);
-                        telemetry[i] = tel;
-                        results[i] = Some(Ok(sol));
-                    }
-                    Err(payload) if payload.downcast_ref::<Cancelled>().is_some() => {
-                        results[i] = Some(Err(self.batch_deadline_error(start, policy)));
-                    }
-                    Err(payload) => {
-                        results[i] = Some(Err(SolveError::BackendPanic {
-                            backend: BRUTE,
-                            payload: payload_to_string(payload.as_ref()),
-                        }));
-                    }
-                }
+                let guard = GuardPolicy {
+                    deadline: slice.as_ref().and_then(CancelToken::remaining),
+                    ..policy.guard
+                };
+                let verdict = telemetry[i].guard.clone();
+                results[i] = Some(
+                    match self.guarded_impl(&problems[i], &guard, decision.tuning, first, verdict) {
+                        Ok((sol, tel)) => {
+                            telemetry[i] = tel;
+                            Ok(sol)
+                        }
+                        // The member ran on its group's slice; report
+                        // the budget the caller set.
+                        Err(SolveError::DeadlineExceeded { .. }) => {
+                            Err(SolveError::DeadlineExceeded {
+                                elapsed: start.elapsed(),
+                                deadline: policy.deadline.unwrap_or_default(),
+                            })
+                        }
+                        Err(e) => Err(e),
+                    },
+                );
+                telemetry[i].provenance = Some(decision.provenance);
             }
         }
 
         BatchReport {
             results: results
                 .into_iter()
-                .map(|r| {
-                    r.unwrap_or_else(|| {
-                        Err(SolveError::InvalidInput {
-                            reason: "batch executor produced no outcome".to_string(),
-                        })
-                    })
-                })
+                .map(|r| r.expect("every problem is refused at admission or solved"))
                 .collect(),
             telemetry,
             groups: groups.len(),
             shed_groups,
         }
-    }
-
-    /// One tuning for the whole group: explicit override, else one
-    /// autotune consultation keyed by the group's most expensive
-    /// member ([`Dispatcher::autotune_decision`] — the group key and
-    /// the autotune key share their `(kind, structure, size-class)`
-    /// coordinates, so one table entry covers the whole group), else
-    /// the environment. The winner's *backend* is ignored here: fused
-    /// strips always run on the sequential engine, with the rayon pool
-    /// parallelizing across strips rather than within one.
-    fn resolve_group_tuning(
-        &self,
-        policy: &BatchPolicy,
-        members: &[usize],
-        problems: &[Problem<'_, T>],
-    ) -> (Tuning, TuningProvenance) {
-        if let Some(t) = policy.tuning {
-            return (t, TuningProvenance::Default);
-        }
-        if !policy.calibrate {
-            return (Tuning::from_env(), TuningProvenance::Default);
-        }
-        let rep = members
-            .iter()
-            .copied()
-            .max_by_key(|&i| {
-                let (units, unit) = cost_model(&problems[i]);
-                units as u128 * unit as u128
-            })
-            .expect("groups are never empty");
-        let decision = self.autotune_decision(&problems[rep]);
-        (decision.tuning, decision.provenance)
-    }
-
-    /// The fused path: one scratch prewarm broadcast, one global work
-    /// list, Merge-Path chunks across the pool, stitch, and per-problem
-    /// downgrade of panicked or starved members.
-    #[allow(clippy::too_many_arguments)]
-    fn run_group_fused(
-        &self,
-        problems: &[Problem<'_, T>],
-        members: &[usize],
-        seq: &dyn Backend<T>,
-        tuning: &Tuning,
-        token: &Option<CancelToken>,
-        policy: &BatchPolicy,
-        batch_start: Instant,
-        results: &mut [Option<Result<Solution<T>, SolveError>>],
-        telemetry: &mut [Telemetry],
-    ) -> FusedOutcome {
-        // One shared scratch-arena session: pre-grow every pool
-        // thread's arena to the group's widest scan once, so no chunk
-        // pays the growth memcpys mid-solve.
-        let max_cols = members
-            .iter()
-            .map(|&i| problems[i].primary_array().cols())
-            .max()
-            .unwrap_or(0);
-        if max_cols > 0 {
-            rayon::broadcast(|_| scratch::prewarm::<T>(2, max_cols));
-        }
-
-        // Members with no units (empty arrays) bypass chunking: solve
-        // whole, exactly as the one-at-a-time path would.
-        let mut active: Vec<usize> = Vec::with_capacity(members.len());
-        for &i in members {
-            let (units, _) = cost_model(&problems[i]);
-            if units == 0 {
-                let (res, tel) =
-                    self.direct_solve(&problems[i], seq, tuning, token, policy, batch_start);
-                merge_downgrade(&mut telemetry[i], tel);
-                results[i] = Some(res);
-            } else {
-                active.push(i);
-            }
-        }
-        if active.is_empty() {
-            return FusedOutcome::default();
-        }
-
-        // The global work list and its equal-cost chunks. On a
-        // single-thread pool, splitting is pure strip-boundary overhead
-        // with no balancing benefit (cancellation still fires through
-        // the engines' own checkpoints), so everything rides one chunk.
-        let costs: Vec<(usize, u64)> = active.iter().map(|&i| cost_model(&problems[i])).collect();
-        let threads = rayon::current_num_threads().max(1);
-        let chunk_count = if threads == 1 {
-            1
-        } else {
-            threads * tuning.batch_chunks_per_thread.max(1)
-        };
-        let chunks = plan_chunks(&costs, chunk_count);
-
-        let chunk_outs: Vec<ChunkOut<T>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut strips = Vec::with_capacity(chunk.len());
-                let mut cancelled = false;
-                let mut lost_panic = false;
-                for strip in chunk {
-                    let i = active[strip.member];
-                    // The cooperative-cancellation checkpoint at the
-                    // strip (chunk-internal) boundary.
-                    if cancelled || token.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        cancelled = true;
-                        strips.push((strip.member, strip.units.clone(), None));
-                        continue;
-                    }
-                    let attempt = catch_unwind(AssertUnwindSafe(|| match token {
-                        Some(tok) => with_cancellation(tok, || {
-                            solve_strip(self, seq, &problems[i], strip.units.clone(), tuning)
-                        }),
-                        None => solve_strip(self, seq, &problems[i], strip.units.clone(), tuning),
-                    }));
-                    match attempt {
-                        Ok(out) => strips.push((strip.member, strip.units.clone(), Some(out))),
-                        Err(payload) => {
-                            if payload.downcast_ref::<Cancelled>().is_some() {
-                                cancelled = true;
-                            } else {
-                                lost_panic = true;
-                            }
-                            strips.push((strip.member, strip.units.clone(), None));
-                        }
-                    }
-                }
-                ChunkOut {
-                    strips,
-                    lost_panic,
-                    lost_deadline: cancelled,
-                }
-            })
-            .collect();
-
-        // Stitch per member; any member with a missing strip is
-        // downgraded whole onto the guarded fallback chain with
-        // whatever budget is left of the group's slice.
-        let mut parts: Vec<Vec<StripPart<T>>> = active.iter().map(|_| Vec::new()).collect();
-        let mut broken = vec![false; active.len()];
-        let mut fused = FusedOutcome::default();
-        for chunk in chunk_outs {
-            fused.lost_panic |= chunk.lost_panic;
-            fused.lost_deadline |= chunk.lost_deadline;
-            for (member, units, out) in chunk.strips {
-                match out {
-                    Some((sol, tel)) => parts[member].push((units, sol, tel)),
-                    None => broken[member] = true,
-                }
-            }
-        }
-        for (member, member_parts) in parts.into_iter().enumerate() {
-            let i = active[member];
-            let units = costs[member].0;
-            let mut covered = 0usize;
-            let contiguous = member_parts.iter().all(|(r, _, _)| {
-                let ok = r.start == covered;
-                covered = r.end;
-                ok
-            });
-            if broken[member] || !contiguous || covered != units {
-                let (res, tel) = self.downgrade_solve(&problems[i], policy, token, *tuning);
-                merge_downgrade(&mut telemetry[i], tel);
-                results[i] = Some(res);
-                continue;
-            }
-            // An unsplit member needs no concatenation or merge.
-            let (sol, mut tel) = if member_parts.len() == 1 {
-                let (_, sol, mut tel) = member_parts.into_iter().next().expect("one part");
-                tel.backend = BATCH;
-                (sol, tel)
-            } else {
-                stitch(&problems[i], member_parts)
-            };
-            let mut outcome = telemetry[i].guard.take().unwrap_or_default();
-            outcome.attempts.push(Attempt {
-                backend: BATCH,
-                outcome: AttemptOutcome::Completed,
-            });
-            tel.guard = Some(outcome);
-            telemetry[i] = tel;
-            results[i] = Some(Ok(sol));
-        }
-        fused
-    }
-
-    /// Whole-problem solve on the group backend (empty problems, which
-    /// have no units to chunk).
-    fn direct_solve(
-        &self,
-        problem: &Problem<'_, T>,
-        seq: &dyn Backend<T>,
-        tuning: &Tuning,
-        token: &Option<CancelToken>,
-        policy: &BatchPolicy,
-        batch_start: Instant,
-    ) -> (Result<Solution<T>, SolveError>, Telemetry) {
-        let attempt = catch_unwind(AssertUnwindSafe(|| match token {
-            Some(tok) => with_cancellation(tok, || self.run(seq, problem, tuning)),
-            None => self.run(seq, problem, tuning),
-        }));
-        match attempt {
-            Ok((sol, mut tel)) => {
-                tel.backend = BATCH;
-                (Ok(sol), tel)
-            }
-            Err(payload) if payload.downcast_ref::<Cancelled>().is_some() => (
-                Err(self.batch_deadline_error(batch_start, policy)),
-                Telemetry::default(),
-            ),
-            Err(payload) => (
-                Err(SolveError::BackendPanic {
-                    backend: seq.name(),
-                    payload: payload_to_string(payload.as_ref()),
-                }),
-                Telemetry::default(),
-            ),
-        }
-    }
-
-    /// Downgrades one problem onto the `solve_guarded` fallback chain:
-    /// validation off (the batch already validated it once), deadline
-    /// clamped to what remains of the group's slice.
-    fn downgrade_solve(
-        &self,
-        problem: &Problem<'_, T>,
-        policy: &BatchPolicy,
-        token: &Option<CancelToken>,
-        tuning: Tuning,
-    ) -> (Result<Solution<T>, SolveError>, Telemetry) {
-        let deadline = match token {
-            Some(tok) => tok.remaining(),
-            None => None,
-        };
-        let guard = GuardPolicy {
-            validation: Validation::Off,
-            deadline,
-            ..policy.guard
-        };
-        match self.solve_guarded_with(problem, &guard, tuning) {
-            Ok((sol, tel)) => (Ok(sol), tel),
-            Err(e) => (Err(e), Telemetry::default()),
-        }
-    }
-
-    fn batch_deadline_error(&self, start: Instant, policy: &BatchPolicy) -> SolveError {
-        SolveError::DeadlineExceeded {
-            elapsed: start.elapsed(),
-            deadline: policy.deadline.unwrap_or_default(),
-        }
-    }
-}
-
-/// Folds a downgraded (or direct) solve's telemetry into the slot that
-/// already holds the batch-stage validation record, keeping the
-/// admission stage's guard outcome fields when the solve brought none.
-fn merge_downgrade(slot: &mut Telemetry, solved: Telemetry) {
-    let admission = slot.guard.take();
-    *slot = solved;
-    match (&mut slot.guard, admission) {
-        (Some(g), Some(a)) => {
-            // The batch validated during admission; the downgraded solve
-            // ran with validation off. Surface the real record.
-            g.validation = a.validation;
-            g.validation_nanos = a.validation_nanos;
-            if g.witness.is_none() {
-                g.witness = a.witness;
-            }
-        }
-        (slot_guard @ None, Some(a)) => *slot_guard = Some(a),
-        _ => {}
     }
 }
 
@@ -1015,9 +440,9 @@ impl std::error::Error for SubmitError {}
 /// drain as one amortized batch, read per-tenant telemetry rollups.
 ///
 /// Drains are *graceful* under pressure: the batch deadline is carved
-/// into per-group slices, and past-deadline or faulting work is shed
-/// onto the guarded fallback chain member-by-member instead of stalling
-/// or failing the whole drain — submission order of the results is
+/// into per-group slices, and a past-deadline or faulting member
+/// degrades alone on its own fallback chain instead of stalling or
+/// failing the whole drain — submission order of the results is
 /// preserved regardless.
 ///
 /// ```
@@ -1265,8 +690,10 @@ impl<'a, T: Value> SolverService<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guarded::BRUTE;
     use monge_core::array2d::{Array2d, Dense};
     use monge_core::generators::random_monge_dense;
+    use monge_core::guard::Validation;
     use monge_core::problem::Objective;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1276,53 +703,9 @@ mod tests {
         random_monge_dense(m, n, &mut rng)
     }
 
-    #[test]
-    fn chunk_plan_is_an_exact_partition_in_order() {
-        // One big member and many small ones — the Merge-Path shape.
-        let mut costs: Vec<(usize, u64)> = vec![(16384, 3)];
-        costs.extend((0..40).map(|_| (64usize, 3u64)));
-        let plan = plan_chunks(&costs, 8);
-        assert!(plan.len() <= 8 && !plan.is_empty());
-        // Every unit of every member appears exactly once, in order.
-        let mut next: Vec<usize> = vec![0; costs.len()];
-        for chunk in &plan {
-            for strip in chunk {
-                assert_eq!(strip.units.start, next[strip.member]);
-                next[strip.member] = strip.units.end;
-            }
-        }
-        for (m, &(units, _)) in costs.iter().enumerate() {
-            assert_eq!(next[m], units, "member {m} fully covered");
-        }
-        // The big member is split across chunks rather than serializing
-        // one chunk on it.
-        let big_strips: usize = plan.iter().flatten().filter(|s| s.member == 0).count();
-        assert!(
-            big_strips > 1,
-            "16384-row member split into {big_strips} strip(s)"
-        );
-        // Chunk costs are balanced within ~2x of the ideal target.
-        let cost = |c: &Vec<Strip>| c.iter().map(|s| s.units.len() as u64 * 3).sum::<u64>();
-        let total: u64 = plan.iter().map(cost).sum();
-        let target = total / plan.len() as u64;
-        for c in &plan {
-            assert!(cost(c) <= 2 * target + 3 * 16384 / 8, "balanced chunks");
-        }
-    }
-
-    #[test]
-    fn chunk_plan_handles_empty_and_degenerate_inputs() {
-        assert!(plan_chunks(&[], 4).is_empty());
-        assert!(plan_chunks(&[(0, 5), (0, 1)], 4).is_empty());
-        let plan = plan_chunks(&[(1, 100)], 8);
-        assert_eq!(plan.len(), 1);
-        assert_eq!(
-            plan[0],
-            vec![Strip {
-                member: 0,
-                units: 0..1
-            }]
-        );
+    /// The backend a one-at-a-time `solve_guarded` starts `p` on.
+    fn grain_choice(d: &Dispatcher<i64>, p: &Problem<'_, i64>) -> &'static str {
+        d.select(p, &Tuning::from_env()).name()
     }
 
     #[test]
@@ -1362,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_telemetry_records_one_validation_and_a_batch_attempt() {
+    fn batch_telemetry_records_one_validation_and_one_attempt() {
         let a = monge(40, 40, 7);
         let problems = vec![Problem::row_minima(&a); 3];
         let d = Dispatcher::with_default_backends();
@@ -1371,13 +754,17 @@ mod tests {
             .with_guard(GuardPolicy::full_validation());
         let report = d.solve_batch_report(&problems, &policy);
         assert_eq!(report.groups, 1);
+        let backend = grain_choice(&d, &problems[0]);
         for tel in &report.telemetry {
             let guard = tel.guard.as_ref().unwrap();
             assert!(
                 guard.validation_nanos > 0,
                 "validation ran during admission"
             );
-            assert_eq!(guard.fallback_path(), vec![BATCH]);
+            assert_eq!(guard.validation, Validation::Full);
+            assert_eq!(guard.fallback_path(), vec![backend]);
+            assert_eq!(guard.fallback_depth(), 0);
+            assert_eq!(tel.backend, backend);
             assert!(tel.evaluations > 0);
         }
         assert!(report.rollup().evaluations >= report.telemetry[0].evaluations);
@@ -1401,6 +788,23 @@ mod tests {
     }
 
     #[test]
+    fn starved_members_report_the_batch_deadline() {
+        let a = monge(256, 256, 9);
+        let problems = vec![Problem::row_minima(&a); 2];
+        let d = Dispatcher::with_default_backends();
+        let budget = Duration::from_nanos(1);
+        let policy = BatchPolicy::default()
+            .without_calibration()
+            .with_deadline(budget);
+        for r in d.solve_batch(&problems, policy) {
+            match r {
+                Err(SolveError::DeadlineExceeded { deadline, .. }) => assert_eq!(deadline, budget),
+                other => panic!("starved member must report the batch budget, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn shedding_degrades_but_still_answers() {
         let a = monge(128, 128, 11);
         let problems = vec![Problem::row_minima(&a); 3];
@@ -1415,10 +819,12 @@ mod tests {
             .unwrap();
         for (r, tel) in report.results.iter().zip(&report.telemetry) {
             assert_eq!(r.as_ref().unwrap(), &expected);
-            // Shed members went through the guarded chain, not the
-            // fused path.
+            // Shed members skipped the group decision: each chain starts
+            // at the grain-policy choice.
             let guard = tel.guard.as_ref().unwrap();
-            assert!(guard.fallback_path().iter().all(|&b| b != BATCH));
+            assert_eq!(guard.fallback_path(), vec![grain_choice(&d, &problems[0])]);
+            assert_eq!(guard.fallback_depth(), 0);
+            assert_eq!(tel.provenance, Some(TuningProvenance::Default));
         }
     }
 
@@ -1437,7 +843,11 @@ mod tests {
         let report = d.solve_batch_report(&problems, &policy);
         let good_guard = report.telemetry[0].guard.as_ref().unwrap();
         assert!(!good_guard.quarantined);
-        assert_eq!(good_guard.fallback_path(), vec![BATCH]);
+        assert_eq!(
+            good_guard.fallback_path(),
+            vec![grain_choice(&d, &problems[0])]
+        );
+        assert_eq!(good_guard.fallback_depth(), 0);
         let bad_guard = report.telemetry[1].guard.as_ref().unwrap();
         assert!(bad_guard.quarantined);
         assert_eq!(bad_guard.fallback_path(), vec![BRUTE]);
@@ -1597,35 +1007,41 @@ mod tests {
     }
 
     #[test]
-    fn open_sequential_breaker_downgrades_fused_groups() {
+    fn members_skip_an_open_breaker_on_the_group_backend() {
+        use crate::autotune::{AutotuneKey, AutotuneMode, Autotuner, Claim, Winner};
         use crate::health::{HealthConfig, HealthRegistry, VirtualClock};
-        use std::sync::Arc;
-        let clock = Arc::new(VirtualClock::new());
-        let registry = Arc::new(HealthRegistry::new(HealthConfig::DEFAULT, clock));
-        let d = Dispatcher::with_default_backends().with_health_registry(registry.clone());
-        registry.force_open("sequential");
         let a = monge(32, 32, 47);
         let problems = vec![Problem::row_minima(&a); 3];
-        let report = d.solve_batch_report(&problems, &BatchPolicy::default().without_calibration());
+        // The group's decision names rayon, which the grain policy
+        // would not pick for a 32×32 member.
+        let tuner = Arc::new(Autotuner::in_memory(AutotuneMode::On));
+        match tuner.begin(AutotuneKey::of(&problems[0])) {
+            Claim::Measure(token) => token.fulfill(Winner {
+                backend: "rayon".to_string(),
+                tuning: Tuning::DEFAULT,
+            }),
+            _ => panic!("a fresh table must hand out the claim"),
+        }
+        let clock = Arc::new(VirtualClock::new());
+        let registry = Arc::new(HealthRegistry::new(HealthConfig::DEFAULT, clock));
+        let d = Dispatcher::with_default_backends()
+            .with_autotuner(tuner)
+            .with_health_registry(registry.clone());
+        assert_eq!(grain_choice(&d, &problems[0]), "sequential");
+        registry.force_open("rayon");
+        let report = d.solve_batch_report(&problems, &BatchPolicy::default());
+        let (expected, _) = Dispatcher::with_default_backends()
+            .solve_guarded_with(&problems[0], &GuardPolicy::default(), Tuning::from_env())
+            .unwrap();
         for (r, tel) in report.results.iter().zip(&report.telemetry) {
-            let (expected, _) = Dispatcher::with_default_backends()
-                .solve_guarded_with(&problems[0], &GuardPolicy::default(), Tuning::from_env())
-                .unwrap();
             assert_eq!(r.as_ref().unwrap(), &expected);
-            assert!(
-                tel.breaker_skips >= 1,
-                "denied fused path is counted: {}",
-                tel.breaker_skips
+            assert_eq!(
+                tel.breaker_skips, 1,
+                "each member's chain starts at the group backend and skips it"
             );
             let path = tel.guard.as_ref().unwrap().fallback_path();
-            assert!(
-                !path.contains(&BATCH),
-                "members bypassed the fused path, got {path:?}"
-            );
-            assert!(
-                !path.contains(&"sequential"),
-                "guarded walk also skips the open circuit, got {path:?}"
-            );
+            assert_eq!(path, vec!["sequential"], "the chain's next link answers");
+            assert_eq!(tel.provenance, Some(TuningProvenance::Cached));
         }
     }
 

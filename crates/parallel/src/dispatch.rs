@@ -762,15 +762,16 @@ impl<T: Value> Dispatcher<T> {
     }
 
     /// The fault memory consulted by the guarded chain
-    /// ([`crate::guarded`]) and the batch layer ([`crate::batch`]):
-    /// breaker admission, outcome windows, the global retry budget.
+    /// ([`crate::guarded`]), which every batch member ([`crate::batch`])
+    /// walks too: breaker admission, outcome windows, the global retry
+    /// budget.
     pub fn health(&self) -> &Arc<HealthRegistry> {
         &self.health
     }
 
-    /// The autotuner behind [`Dispatcher::solve_calibrated`] and batch
-    /// group tuning: the attached instance, else the process-global
-    /// table.
+    /// The autotuner behind [`Dispatcher::solve_calibrated`] and the
+    /// batch layer's group decisions: the attached instance, else the
+    /// process-global table.
     pub fn autotuner(&self) -> &Autotuner {
         match &self.autotuner {
             Some(tuner) => tuner,
@@ -889,7 +890,7 @@ impl<T: Value> Dispatcher<T> {
     }
 
     /// The autotune consultation shared by [`Dispatcher::solve_calibrated`]
-    /// and the batch layer's group tuning: winner from the table
+    /// and the batch layer's group decisions: winner from the table
     /// (re-overlaid with the `MONGE_*` environment, which outranks the
     /// cache), measured on a cold key, calibration probe otherwise.
     pub(crate) fn autotune_decision(&self, problem: &Problem<'_, T>) -> AutotuneDecision {

@@ -31,9 +31,10 @@
 //! Validation runs **exactly once per request**, before the chain walk:
 //! fallback attempts never re-validate, so
 //! [`GuardOutcome::validation_nanos`] is a one-shot cost independent of
-//! fallback depth (pinned by the `validation_once` regression tests,
-//! and what makes the batch layer's validate-at-admission bookkeeping
-//! equivalent to this one).
+//! fallback depth (pinned by the `validation_once` regression tests).
+//! The batch layer ([`crate::batch`]) runs the same admission step
+//! once per member up front, then hands each member's verdict to the
+//! same chain walk.
 //!
 //! Deadlines are cooperative: the engines call
 //! [`monge_core::guard::checkpoint`] at recursion leaves and
@@ -321,7 +322,7 @@ impl<T: Value> Dispatcher<T> {
             });
         }
         let first = self.find(name).map(|b| b.name());
-        self.guarded_impl(problem, policy, tuning, first)
+        self.guarded_impl(problem, policy, tuning, first, None)
     }
 
     /// Guarded solve with explicit tuning.
@@ -331,45 +332,35 @@ impl<T: Value> Dispatcher<T> {
         policy: &GuardPolicy,
         tuning: Tuning,
     ) -> Result<(Solution<T>, Telemetry), SolveError> {
-        self.guarded_impl(problem, policy, tuning, None)
+        self.guarded_impl(problem, policy, tuning, None, None)
     }
 
-    fn guarded_impl(
+    /// Admission: the input preconditions, then one validation of the
+    /// structural promise per `policy` (under `catch_unwind`: the array
+    /// itself may panic while being read). The returned outcome carries
+    /// the validation record, and `quarantined` when a broken promise
+    /// must be answered by the brute-force terminal alone.
+    pub(crate) fn admit(
         &self,
         problem: &Problem<'_, T>,
         policy: &GuardPolicy,
-        tuning: Tuning,
-        first: Option<&'static str>,
-    ) -> Result<(Solution<T>, Telemetry), SolveError> {
-        let start = Instant::now();
-        let token = policy.deadline.map(CancelToken::with_deadline);
-        let health = self.health();
-        // Every admitted request credits the global retry budget (see
-        // `crate::health`): retries stay a bounded fraction of load.
-        health.credit_request();
+    ) -> Result<GuardOutcome, SolveError> {
+        input_preconditions(problem).map_err(|reason| SolveError::InvalidInput { reason })?;
         let mut outcome = GuardOutcome {
             validation: policy.validation,
             ..GuardOutcome::default()
         };
-
-        // --- Input sanity the engines otherwise assert on. ---
-        if let Err(reason) = input_preconditions(problem) {
-            return Err(SolveError::InvalidInput { reason });
-        }
-
-        // --- Validation (under catch_unwind: the array itself may
-        //     panic while being read). ---
         let t0 = Instant::now();
         let validated = catch_unwind(AssertUnwindSafe(|| validate(problem, policy)));
         outcome.validation_nanos = t0.elapsed().as_nanos();
-        let quarantined = match validated {
-            Ok(Ok(())) => false,
+        match validated {
+            Ok(Ok(())) => {}
             Ok(Err(witness)) => {
                 // Broken promises are a health signal too: recorded
                 // against the "validator" pseudo-backend, which is
                 // never admission-checked (it is not a chain link) but
                 // shows up in snapshots.
-                health.record(
+                self.health().record(
                     "validator",
                     Observation::Violation,
                     outcome.validation_nanos.min(u64::MAX as u128) as u64,
@@ -379,7 +370,6 @@ impl<T: Value> Dispatcher<T> {
                     ViolationAction::Quarantine => {
                         outcome.quarantined = true;
                         outcome.witness = Some(*witness);
-                        true
                     }
                 }
             }
@@ -389,12 +379,38 @@ impl<T: Value> Dispatcher<T> {
                     payload: payload_to_string(payload.as_ref()),
                 })
             }
+        }
+        Ok(outcome)
+    }
+
+    /// The guarded attempt primitive: admission (unless the caller
+    /// already admitted the request and passes its `admitted` verdict),
+    /// then the fallback-chain walk from `first` (else the grain-policy
+    /// choice), each attempt under `catch_unwind`, the breakers, the
+    /// retry budget and `policy.deadline`.
+    pub(crate) fn guarded_impl(
+        &self,
+        problem: &Problem<'_, T>,
+        policy: &GuardPolicy,
+        tuning: Tuning,
+        first: Option<&'static str>,
+        admitted: Option<GuardOutcome>,
+    ) -> Result<(Solution<T>, Telemetry), SolveError> {
+        let start = Instant::now();
+        let token = policy.deadline.map(CancelToken::with_deadline);
+        let health = self.health();
+        // Every admitted request credits the global retry budget (see
+        // `crate::health`): retries stay a bounded fraction of load.
+        health.credit_request();
+        let mut outcome = match admitted {
+            Some(outcome) => outcome,
+            None => self.admit(problem, policy)?,
         };
 
         // --- Build the deterministic fallback chain. ---
         let brute = BruteForceBackend;
         let mut chain: Vec<&dyn Backend<T>> = Vec::new();
-        if !quarantined {
+        if !outcome.quarantined {
             let auto = first.unwrap_or_else(|| self.select(problem, &tuning).name());
             for name in [auto, "rayon", "sequential"] {
                 if chain.iter().any(|b| b.name() == name) {
@@ -536,7 +552,7 @@ fn deadline_error(start: Instant, policy: &GuardPolicy) -> SolveError {
 /// The input-shape preconditions the engines `assert!` on, reported as
 /// typed errors instead: array extents, boundary/band lengths and
 /// monotonicity, tube inner dimensions.
-pub(crate) fn input_preconditions<T: Value>(problem: &Problem<'_, T>) -> Result<(), String> {
+fn input_preconditions<T: Value>(problem: &Problem<'_, T>) -> Result<(), String> {
     match *problem {
         Problem::Rows { array, .. } => {
             if array.rows() > 0 && array.cols() == 0 {

@@ -14,7 +14,6 @@
 //! | [`Tuning::seq_rows`] | `MONGE_SEQ_ROWS` | 64 | row ranges at most this tall stay in the sequential D&C |
 //! | [`Tuning::tube_seq_planes`] | `MONGE_TUBE_SEQ_PLANES` | 8 | tube problems with at most this many planes loop sequentially |
 //! | [`Tuning::pram_base_rows`] | `MONGE_PRAM_BASE_ROWS` | 4 | PRAM staircase base-case height |
-//! | [`Tuning::batch_chunks_per_thread`] | `MONGE_BATCH_CHUNKS` | 4 | Merge-Path chunks per pool thread in a batched solve |
 //! | [`Tuning::kernel`] | `MONGE_KERNEL` | `auto` | slice-scan kernel choice (`auto` / `scalar` / `simd`) |
 //!
 //! Defaults were chosen with `cargo bench -p monge-bench --bench
@@ -94,12 +93,6 @@ pub struct Tuning {
     /// Row ranges at most this tall are handled directly by a PRAM
     /// interval-minimum step instead of recursing.
     pub pram_base_rows: usize,
-    /// How many equal-cost Merge-Path chunks per rayon pool thread a
-    /// batched solve splits a group's fused work list into
-    /// ([`crate::batch`]). More chunks → finer load balancing and more
-    /// frequent cancellation checkpoints, at slightly more scheduling
-    /// overhead; 1 degenerates to one chunk per thread.
-    pub batch_chunks_per_thread: usize,
     /// Which slice-scan kernel the engines should use
     /// ([`monge_core::kernel::Kernel`]): `Auto` (the default) lets the
     /// runtime pick SIMD whenever it is compiled in and supported,
@@ -115,7 +108,6 @@ impl Tuning {
         seq_rows: 64,
         tube_seq_planes: 8,
         pram_base_rows: 4,
-        batch_chunks_per_thread: 4,
         kernel: Kernel::Auto,
     };
 
@@ -138,8 +130,6 @@ impl Tuning {
             seq_rows: env_usize("MONGE_SEQ_ROWS").unwrap_or(self.seq_rows),
             tube_seq_planes: env_usize("MONGE_TUBE_SEQ_PLANES").unwrap_or(self.tube_seq_planes),
             pram_base_rows: env_usize("MONGE_PRAM_BASE_ROWS").unwrap_or(self.pram_base_rows),
-            batch_chunks_per_thread: env_usize("MONGE_BATCH_CHUNKS")
-                .unwrap_or(self.batch_chunks_per_thread),
             kernel: Kernel::from_env().unwrap_or(self.kernel),
         }
     }
@@ -181,7 +171,6 @@ mod tests {
         assert!(t.seq_rows > 0);
         assert!(t.tube_seq_planes > 0);
         assert!(t.pram_base_rows > 0);
-        assert!(t.batch_chunks_per_thread > 0);
     }
 
     #[test]
@@ -195,7 +184,6 @@ mod tests {
         assert_eq!(fine.seq_rows, base.seq_rows);
         assert_eq!(fine.tube_seq_planes, base.tube_seq_planes);
         assert_eq!(fine.pram_base_rows, base.pram_base_rows);
-        assert_eq!(fine.batch_chunks_per_thread, base.batch_chunks_per_thread);
         assert_eq!(fine.kernel, base.kernel);
     }
 

@@ -213,3 +213,31 @@ fn explicit_tuning_paths_stamp_default_provenance() {
     let (_, tel) = d.solve(&p);
     assert_eq!(tel.provenance, Some(TuningProvenance::Default));
 }
+
+/// Tables written while the batch layer still had a chunk-count knob
+/// carry a `"batch_chunks"` field in every entry. Entries are read by
+/// key, so the retired field is ignored and such a table still warms
+/// the next process.
+#[test]
+fn tables_with_the_retired_batch_chunks_field_still_load() {
+    let dir = scratch_dir("retired-field");
+    let a = fixture(8);
+    let p = Problem::row_minima(&a);
+    let seeder = Arc::new(Autotuner::with_dir(AutotuneMode::On, &dir));
+    let d = Dispatcher::<i64>::with_default_backends().with_autotuner(seeder.clone());
+    d.solve_calibrated(&p);
+    let valid = std::fs::read_to_string(table_path(&dir)).unwrap();
+    let old = valid.replace("\"kernel\": ", "\"batch_chunks\": 4, \"kernel\": ");
+    assert_ne!(old, valid, "every entry names its kernel");
+    std::fs::write(table_path(&dir), &old).unwrap();
+
+    let tuner = Arc::new(Autotuner::with_dir(AutotuneMode::On, &dir));
+    assert_eq!(tuner.entries(), seeder.entries());
+    let d = Dispatcher::<i64>::with_default_backends().with_autotuner(tuner.clone());
+    let (sol, tel) = d.solve_calibrated(&p);
+    assert_eq!(sol.rows().index, brute_row_minima(&a));
+    assert_eq!(tel.provenance, Some(TuningProvenance::Cached));
+    assert_eq!(tuner.measurements(), 0, "the old table must not re-measure");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -12,10 +12,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use monge_core::array2d::{Array2d, Dense};
-use monge_core::generators::random_monge_dense;
+use monge_core::generators::{random_monge_dense, random_staircase_boundary};
 use monge_core::guard::GuardPolicy;
 use monge_core::problem::{Problem, ProblemKind, Solution, Telemetry};
-use monge_parallel::{Backend, Capabilities, Dispatcher, Tuning};
+use monge_parallel::{Backend, BatchPolicy, Capabilities, Dispatcher, Tuning};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -123,8 +123,6 @@ fn validation_runs_once_regardless_of_fallback_depth() {
 
 #[test]
 fn batch_admission_validates_once_per_request() {
-    use monge_parallel::BatchPolicy;
-
     let mut rng = StdRng::seed_from_u64(0x0C0D);
     let a = CountingArray::new(random_monge_dense(24, 24, &mut rng));
     let d = Dispatcher::with_default_backends();
@@ -150,4 +148,78 @@ fn batch_admission_validates_once_per_request() {
         batch_reads, loop_reads,
         "the batch admission pass reads more entries than a guarded solve"
     );
+}
+
+#[test]
+fn two_thread_batch_reads_each_member_like_the_loop() {
+    // On a two-thread pool, every member of a mixed batch must read
+    // exactly the entries its one-at-a-time guarded solve reads: one
+    // validation pass and one solve on the same backend, never a solve
+    // cut into pieces.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("two-thread pool");
+    pool.install(|| {
+        let mut rng = StdRng::seed_from_u64(0x0E0F);
+        let rows: Vec<CountingArray> = [24, 96, 200]
+            .iter()
+            .map(|&m| CountingArray::new(random_monge_dense(m, m, &mut rng)))
+            .collect();
+        let stair = CountingArray::new(random_monge_dense(48, 48, &mut rng));
+        let boundary = random_staircase_boundary(48, 48, &mut rng);
+        let d_factor = CountingArray::new(random_monge_dense(16, 24, &mut rng));
+        let e_factor = CountingArray::new(random_monge_dense(24, 20, &mut rng));
+        let problems = [
+            Problem::row_minima(&rows[0]),
+            Problem::row_minima(&rows[1]),
+            Problem::row_minima(&rows[2]),
+            Problem::staircase_row_minima(&stair, &boundary),
+            Problem::tube_minima(&d_factor, &e_factor),
+        ];
+        let counters: [Vec<&CountingArray>; 5] = [
+            vec![&rows[0]],
+            vec![&rows[1]],
+            vec![&rows[2]],
+            vec![&stair],
+            vec![&d_factor, &e_factor],
+        ];
+        let reads = |k: usize| -> Vec<u64> { counters[k].iter().map(|a| a.reads()).collect() };
+        let since = |k: usize, before: &[u64]| -> Vec<u64> {
+            reads(k)
+                .iter()
+                .zip(before)
+                .map(|(now, b)| now - b)
+                .collect()
+        };
+
+        let d = Dispatcher::with_default_backends();
+        let policy = BatchPolicy::default()
+            .with_guard(GuardPolicy::full_validation())
+            .without_calibration();
+        let before: Vec<Vec<u64>> = (0..problems.len()).map(reads).collect();
+        let report = d.solve_batch_report(&problems, &policy);
+        let batch_reads: Vec<Vec<u64>> =
+            (0..problems.len()).map(|k| since(k, &before[k])).collect();
+
+        for (k, p) in problems.iter().enumerate() {
+            let before = reads(k);
+            let (want, _) = d
+                .solve_guarded_with(p, &GuardPolicy::full_validation(), Tuning::from_env())
+                .expect("loop solve");
+            let loop_reads = since(k, &before);
+            assert_eq!(
+                report.results[k].as_ref().expect("batch solve"),
+                &want,
+                "member {k} ({:?}) answers differently in the batch",
+                p.kind()
+            );
+            assert_eq!(
+                batch_reads[k],
+                loop_reads,
+                "member {k} ({:?}) reads more entries in the batch than alone",
+                p.kind()
+            );
+        }
+    });
 }
