@@ -34,7 +34,7 @@ use monge_core::guard::SolveError;
 use monge_core::problem::Problem;
 use monge_core::scratch::with_scratch;
 use monge_parallel::tuning::Tuning;
-use monge_parallel::Dispatcher;
+use monge_parallel::{runtime, Dispatcher};
 
 /// Brute-force oracle, `O(n³)`: enumerate all (left, right) support
 /// pairs, then the vertical gaps inside each strip.
@@ -170,7 +170,7 @@ fn rec(disp: &Dispatcher<f64>, points: &[Point], bbox: Rect, parallel: Option<Tu
         .map(|t| left.len() + right.len() > t.seq_rows.max(1))
         .unwrap_or(false);
     let (lb, rb) = if fork {
-        rayon::join(
+        runtime::join(
             || rec(disp, &left, lbox, parallel),
             || rec(disp, &right, rbox, parallel),
         )

@@ -17,7 +17,7 @@ use monge_core::guard::SolveError;
 use monge_core::problem::Problem;
 use monge_core::smawk::RowExtrema;
 use monge_parallel::tuning::Tuning;
-use monge_parallel::Dispatcher;
+use monge_parallel::{runtime, Dispatcher};
 
 /// One cross-chain farthest search, routed through the dispatcher: the
 /// inverse-Monge row-maxima problem, solved by whichever host backend
@@ -191,7 +191,7 @@ fn rec(disp: &Dispatcher<f64>, poly: &[Point], chain: &[usize], best: &mut [Opti
 
 /// Parallel all-farthest-neighbors: every cross-chain query runs on the
 /// rayon row-maxima engine (the two directions fork against each other)
-/// and the two same-chain recursions run under `rayon::join`, so the
+/// and the two same-chain recursions run under `runtime::join`, so the
 /// whole divide & conquer — not just one search — scales with cores.
 pub fn par_all_farthest_neighbors(poly: &[Point]) -> Vec<usize> {
     par_all_farthest_neighbors_with(poly, Tuning::from_env())
@@ -245,7 +245,7 @@ fn par_rec(
         poly[mid + j].dist(poly[lo + i])
     });
     let (fq, fp) = if n > t.seq_rows.max(1) {
-        rayon::join(|| cross_maxima(disp, &pa, t), || cross_maxima(disp, &qa, t))
+        runtime::join(|| cross_maxima(disp, &pa, t), || cross_maxima(disp, &qa, t))
     } else {
         (cross_maxima(disp, &pa, t), cross_maxima(disp, &qa, t))
     };
@@ -258,7 +258,7 @@ fn par_rec(
     }
     let (bp, bq) = best.split_at_mut(mid - lo);
     if n > t.seq_rows.max(1) {
-        rayon::join(
+        runtime::join(
             || par_rec(disp, poly, lo, mid, bp, t),
             || par_rec(disp, poly, mid, hi, bq, t),
         );

@@ -28,7 +28,7 @@
 use crate::geometry::Point;
 use monge_core::array2d::FnArray;
 use monge_core::problem::Problem;
-use monge_parallel::{Dispatcher, PramBackend, Tuning};
+use monge_parallel::{runtime, Dispatcher, PramBackend, Tuning};
 
 /// The best rectangle found: area plus the two corner points.
 #[derive(Clone, Copy, Debug)]
@@ -157,13 +157,13 @@ pub fn largest_corner_rectangle(points: &[Point]) -> CornerRect {
 }
 
 /// Parallel variant: the two orientation cases run concurrently under
-/// rayon (the staircase constructions and band searches are each
+/// [`runtime::join`] (the staircase constructions and band searches are each
 /// near-linear, so the case-level split captures most of the available
 /// parallelism at realistic sizes).
 pub fn par_largest_corner_rectangle(points: &[Point]) -> CornerRect {
     assert!(points.len() >= 2);
     let reflected: Vec<Point> = points.iter().map(|p| Point::new(p.x, -p.y)).collect();
-    let (ne, se) = rayon::join(|| best_ne_pair(points), || best_ne_pair(&reflected));
+    let (ne, se) = runtime::join(|| best_ne_pair(points), || best_ne_pair(&reflected));
     let se = se.map(|r| CornerRect {
         area: r.area,
         a: Point::new(r.a.x, -r.a.y),

@@ -29,8 +29,7 @@ use monge_core::array2d::FnArray;
 use monge_core::eval::CachedArray;
 use monge_core::problem::Problem;
 use monge_parallel::tuning::Tuning;
-use monge_parallel::Dispatcher;
-use rayon::prelude::*;
+use monge_parallel::{runtime, Dispatcher};
 
 /// Which neighbor is sought.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,37 +143,34 @@ pub fn neighbors_all_goals(p: &ConvexPolygon, q: &ConvexPolygon) -> [Vec<Option<
     let n = q.vertices.len();
     let dist = FnArray::new(m, n, |i: usize, j: usize| p.vertices[i].dist(q.vertices[j]));
     let cached = CachedArray::new(dist);
-    let per_row: Vec<[Option<usize>; 4]> = (0..m)
-        .into_par_iter()
-        .map(|i| {
-            let row = cached.row_cached(i);
-            let vis: Vec<bool> = (0..n).map(|j| visible_fast(p, i, q, j)).collect();
-            let mut best = [None::<(f64, usize)>; 4];
-            for (g, slot) in best.iter_mut().enumerate() {
-                let want_visible = g % 2 == 0; // NearestVisible, FarthestVisible
-                let want_min = g < 2; // NearestVisible, NearestInvisible
-                for (j, &d) in row.iter().enumerate() {
-                    if vis[j] != want_visible {
-                        continue;
-                    }
-                    let better = match *slot {
-                        None => true,
-                        Some((bd, _)) => {
-                            if want_min {
-                                d < bd
-                            } else {
-                                d > bd
-                            }
+    let per_row: Vec<[Option<usize>; 4]> = runtime::par_map((0..m).collect(), |i| {
+        let row = cached.row_cached(i);
+        let vis: Vec<bool> = (0..n).map(|j| visible_fast(p, i, q, j)).collect();
+        let mut best = [None::<(f64, usize)>; 4];
+        for (g, slot) in best.iter_mut().enumerate() {
+            let want_visible = g % 2 == 0; // NearestVisible, FarthestVisible
+            let want_min = g < 2; // NearestVisible, NearestInvisible
+            for (j, &d) in row.iter().enumerate() {
+                if vis[j] != want_visible {
+                    continue;
+                }
+                let better = match *slot {
+                    None => true,
+                    Some((bd, _)) => {
+                        if want_min {
+                            d < bd
+                        } else {
+                            d > bd
                         }
-                    };
-                    if better {
-                        *slot = Some((d, j));
                     }
+                };
+                if better {
+                    *slot = Some((d, j));
                 }
             }
-            best.map(|b| b.map(|(_, j)| j))
-        })
-        .collect();
+        }
+        best.map(|b| b.map(|(_, j)| j))
+    });
     let mut out = [vec![], vec![], vec![], vec![]];
     for row in per_row {
         for (g, j) in row.into_iter().enumerate() {

@@ -32,8 +32,7 @@ use monge_core::scratch::{with_scratch, with_scratch2};
 use monge_core::tube::plane;
 use monge_core::value::Value;
 use monge_parallel::tuning::Tuning;
-use monge_parallel::Dispatcher;
-use rayon::prelude::*;
+use monge_parallel::{runtime, Dispatcher};
 
 /// Edit-operation cost model (plain function pointers keep the model
 /// `Copy` and the arrays `O(1)`-evaluable).
@@ -206,23 +205,20 @@ pub fn edit_distance_antidiagonal(x: &[u8], y: &[u8], c: &CostModel) -> i64 {
         let p1_hi = (d - 1).min(m);
         let p2_lo = (d - 2).saturating_sub(n);
         let p2_hi = (d - 2).min(m);
-        let cells: Vec<i64> = (i_lo..=i_hi)
-            .into_par_iter()
-            .map(|i| {
-                let j = d - i;
-                let mut best = inf;
-                if i >= 1 && (p1_lo..=p1_hi).contains(&(i - 1)) {
-                    best = best.min(prev1[i - 1 - p1_lo] + (c.del)(x[i - 1]));
-                }
-                if j >= 1 && (p1_lo..=p1_hi).contains(&i) {
-                    best = best.min(prev1[i - p1_lo] + (c.ins)(y[j - 1]));
-                }
-                if i >= 1 && j >= 1 && (p2_lo..=p2_hi).contains(&(i - 1)) {
-                    best = best.min(prev2[i - 1 - p2_lo] + (c.sub)(x[i - 1], y[j - 1]));
-                }
-                best
-            })
-            .collect();
+        let cells: Vec<i64> = runtime::par_map((i_lo..=i_hi).collect(), |i| {
+            let j = d - i;
+            let mut best = inf;
+            if i >= 1 && (p1_lo..=p1_hi).contains(&(i - 1)) {
+                best = best.min(prev1[i - 1 - p1_lo] + (c.del)(x[i - 1]));
+            }
+            if j >= 1 && (p1_lo..=p1_hi).contains(&i) {
+                best = best.min(prev1[i - p1_lo] + (c.ins)(y[j - 1]));
+            }
+            if i >= 1 && j >= 1 && (p2_lo..=p2_hi).contains(&(i - 1)) {
+                best = best.min(prev2[i - 1 - p2_lo] + (c.sub)(x[i - 1], y[j - 1]));
+            }
+            best
+        });
         prev2 = std::mem::replace(&mut prev1, cells);
     }
     // The last diagonal (d = m + n) contains only the sink (m, n).
@@ -258,7 +254,7 @@ pub fn strip_dist(xs: &[u8], y: &[u8], c: &CostModel) -> Dense<i64> {
     while let Some(front) = rows.next() {
         tasks.push((front, rows.next_back()));
     }
-    tasks.into_par_iter().for_each(|(front, back)| {
+    runtime::par_map(tasks, |(front, back)| {
         with_scratch2(|prev: &mut Vec<i64>, cur: &mut Vec<i64>| {
             for (s, row) in std::iter::once(front).chain(back) {
                 dist_row(s, &ins, &del, &sub, prev, cur, row);
@@ -331,7 +327,7 @@ pub fn combine_dist_arrays<A: Array2d<i64>, B: Array2d<i64>>(a: &A, b: &B) -> De
 }
 
 /// [`combine_dist_arrays`] with explicit tuning: the row halving forks
-/// under `rayon::join` once a block is taller than
+/// under [`runtime::join`] once a block is taller than
 /// [`Tuning::tube_seq_planes`] (the output is split at row boundaries,
 /// so the halves write disjoint slices), and all per-level scratch comes
 /// from the thread-local arena.
@@ -405,7 +401,7 @@ fn dc<A: Array2d<i64>, B: Array2d<i64>>(
         // `args` is both the upper block's inclusive upper bounds and the
         // lower block's lower bounds (double argmin monotonicity).
         if i1 - i0 > t.tube_seq_planes.max(1) {
-            rayon::join(
+            runtime::join(
                 || with_scratch(|sc: &mut Vec<i64>| dc(a, b, i0, mid, lo, args, top, sc, t)),
                 || with_scratch(|sc: &mut Vec<i64>| dc(a, b, mid + 1, i1, args, hi, bot, sc, t)),
             );
@@ -533,12 +529,19 @@ pub fn edit_distance_dist_tree_with(
     } else {
         x.chunks(chunk).collect()
     };
-    let dists: Vec<Dense<i64>> = parts.par_iter().map(|xs| strip_dist(xs, y, c)).collect();
-    let combined = dists
-        .into_par_iter()
-        .reduce_with(|a, b| combine_dist_arrays_with(&a, &b, t))
-        .expect("at least one strip");
-    combined.entry(0, y.len())
+    let dists = runtime::par_map(parts, |xs| strip_dist(xs, y, c));
+    combine_tree(dists, t).entry(0, y.len())
+}
+
+/// Combines adjacent DIST matrices in a balanced tree, the two halves
+/// in parallel.
+fn combine_tree(mut dists: Vec<Dense<i64>>, t: Tuning) -> Dense<i64> {
+    if dists.len() == 1 {
+        return dists.pop().expect("at least one strip");
+    }
+    let right = dists.split_off(dists.len() / 2);
+    let (a, b) = runtime::join(|| combine_tree(dists, t), || combine_tree(right, t));
+    combine_dist_arrays_with(&a, &b, t)
 }
 
 /// Edit distance with the DIST combining tree executed on the simulated

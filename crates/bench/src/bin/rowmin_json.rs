@@ -79,12 +79,9 @@ fn quick_mode() -> bool {
     std::env::var("MONGE_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Times `batched_row_minima` with the kernel selection pinned to `k`
-/// under a scoped guard (the pin is process-global; the guard restores
-/// the previous selection even if a timed scan panics).
+/// Times `batched_row_minima` with the kernel selection pinned to `k`.
 fn batched_ns_with<A: Array2d<i64>>(a: &A, k: Kernel, reps: usize) -> u128 {
-    let _pin = kernel::scoped(k);
-    time_ns(|| batched_row_minima(a), reps)
+    kernel::with_kernel(k, || time_ns(|| batched_row_minima(a), reps))
 }
 
 fn rowmin_json(quick: bool) -> String {

@@ -14,24 +14,13 @@ use monge_conformance::fuzz::conformance_dispatcher;
 use monge_conformance::gen::generate;
 use monge_core::array2d::Dense;
 use monge_core::generators::{random_monge_dense, random_monge_dense_f64};
-use monge_core::kernel::{self, Kernel};
+use monge_core::kernel::Kernel;
 use monge_core::problem::{Problem, ProblemKind, Solution};
 use monge_core::Tie;
 use monge_parallel::dispatch::Dispatcher;
 use monge_parallel::Tuning;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Mutex, MutexGuard};
-
-/// Kernel selection is process-global; solves that pin it must not
-/// interleave or the pins lose their meaning (answers would still
-/// agree — every kernel is exact — but the diff would stop exercising
-/// the vector bodies).
-static KERNEL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const SCALAR: Tuning = Tuning {
     kernel: Kernel::Scalar,
@@ -43,14 +32,9 @@ const SIMD: Tuning = Tuning {
 };
 
 /// Solves `p` under both kernel pins on every eligible backend of `d`
-/// and asserts the full solutions agree. The solves mutate the
-/// process-global selection (`Tuning::apply_kernel`), so the scoped
-/// guard restores the pre-call selection on exit — including the
-/// panicking exit of a failed assertion, which used to leave a stale
-/// `Simd` pin for whichever test ran next.
+/// and asserts the full solutions agree. Each solve pins its tuning's
+/// kernel for itself alone, so these tests run in parallel unlocked.
 fn diff_kernels(d: &Dispatcher<i64>, p: &Problem<'_, i64>, ctx: &str) {
-    let _g = lock();
-    let _pin = kernel::scoped(kernel::selected());
     for b in d.eligible(p) {
         let Some((scalar, _)) = d.solve_on(b.name(), p, SCALAR) else {
             continue;
@@ -109,11 +93,7 @@ fn zero_slack_plateaus_agree_across_kernels() {
         let a = Dense::tabulate(9, n, |_, _| 7i64);
         for tie in [Tie::Left, Tie::Right] {
             let p = Problem::row_minima(&a).with_tie(tie);
-            let _g = lock();
-            let pin = kernel::scoped(kernel::selected());
             let (sol, _) = d.solve_on("sequential", &p, SIMD).unwrap();
-            drop(pin);
-            drop(_g);
             let want = match tie {
                 Tie::Left => 0,
                 Tie::Right => n - 1,
@@ -135,12 +115,8 @@ fn f64_solves_agree_across_kernels() {
     let d: Dispatcher<f64> = Dispatcher::with_all_backends();
     for tie in [Tie::Left, Tie::Right] {
         let p = Problem::row_minima(&a).with_tie(tie);
-        let _g = lock();
-        let pin = kernel::scoped(kernel::selected());
         let scalar: Option<(Solution<f64>, _)> = d.solve_on("sequential", &p, SCALAR);
         let simd = d.solve_on("sequential", &p, SIMD);
-        drop(pin);
-        drop(_g);
         assert_eq!(scalar.unwrap().0, simd.unwrap().0, "f64 tie={tie:?}");
     }
 }

@@ -19,29 +19,27 @@
 //! observable in tests and benchmarks.
 
 use crate::array2d::Array2d;
+use crate::state::{self, Tally};
 use crate::tiebreak::Tie;
 use crate::value::Value;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Process-global tally of value comparisons performed by the slice
-/// scans (and flushed in bulk by SMAWK's REDUCE/INTERPOLATE). Relaxed,
-/// best-effort under concurrency — the telemetry layer snapshots deltas
-/// around each dispatched solve.
-static COMPARISONS: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the process-global comparison counter.
+/// Value comparisons made by the slice scans and SMAWK on the calling
+/// thread and the forks it joined ([`crate::state`]).
 pub fn comparison_count() -> u64 {
-    COMPARISONS.load(Ordering::Relaxed)
+    state::tally().comparisons
 }
 
-/// Adds `n` comparisons to the process-global tally. Engines that keep
-/// a local count on their hot path (SMAWK) flush it here once per call.
+/// Adds `n` comparisons to the calling thread's tally; SMAWK flushes
+/// its local hot-path count here once per call.
+#[inline]
 pub fn add_comparisons(n: u64) {
-    if n > 0 {
-        COMPARISONS.fetch_add(n, Ordering::Relaxed);
-    }
+    state::add(Tally {
+        comparisons: n,
+        ..Tally::default()
+    });
 }
 
 // The slice scans below are two-level: a branch-free lane-parallel

@@ -5,8 +5,8 @@
 //! Every engine in this workspace is only correct when its input
 //! actually satisfies the Monge / staircase-Monge / Monge-composite
 //! conditions the paper assumes — a single violated quadruple silently
-//! corrupts row minima, and a panicking scoring closure inside a
-//! `rayon::join` tears down the whole solve. This module supplies the
+//! corrupts row minima, and a panicking scoring closure inside a fork
+//! tears down the whole solve. This module supplies the
 //! vocabulary the guarded dispatcher (`monge-parallel::guarded`) uses
 //! to detect bad structure ([`SolveError::StructureViolation`] carrying
 //! the witnessing quadruple from [`crate::monge::check_monge`]),
@@ -16,31 +16,26 @@
 //!
 //! ## Cooperative cancellation
 //!
-//! Engines are deep recursion over `rayon::join`; threading a `Result`
-//! through every leaf would contaminate every signature. Instead a
-//! [`CancelToken`] is installed process-globally for the duration of a
-//! guarded solve ([`with_cancellation`]) and the engines call the
-//! free function [`checkpoint`] at recursion leaves and interval-scan
-//! boundaries. When the token is cancelled (explicitly or because its
-//! deadline passed), `checkpoint` panics with the private [`Cancelled`]
-//! sentinel; rayon propagates the panic to the joining caller, and the
-//! guarded dispatcher's `catch_unwind` boundary downcasts the payload
-//! to distinguish an orderly deadline abort from a genuine backend
-//! panic. When no token is installed, `checkpoint` is one relaxed
-//! atomic load — engines pay nothing outside guarded solves.
-//!
-//! Like the telemetry counters (see [`crate::problem::Telemetry`]), the
-//! installed token is process-global: concurrent guarded solves with
-//! different deadlines would observe each other's tokens. Tests and
-//! applications run guarded solves one at a time.
+//! Engines are deep fork-join recursions; threading a `Result` through
+//! every leaf would contaminate every signature. Instead a
+//! [`CancelToken`] is installed in the calling thread's solve state
+//! ([`crate::state`]) for a guarded solve ([`with_cancellation`]), the
+//! fork seam carries it into that solve's forks and no others, and the
+//! engines call [`checkpoint`] at recursion leaves and interval-scan
+//! boundaries. Once the token fires, `checkpoint` panics with the
+//! [`Cancelled`] sentinel; the join propagates it to the joining caller,
+//! and the guarded dispatcher's `catch_unwind` boundary downcasts the
+//! payload to tell an orderly deadline abort from a backend panic.
+//! Without a token, `checkpoint` is one thread-local read.
 
 use crate::array2d::Array2d;
 use crate::monge::MongeViolation;
+use crate::state;
 use crate::value::Value;
 use std::ops::Range;
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How much structure validation a guarded solve performs before
@@ -193,12 +188,12 @@ impl RetryPolicy {
 
     /// A retrying policy: `max_attempts` total attempts, backoff jitter
     /// between `base` and `3×` the previous delay (decorrelated
-    /// jitter), capped at `max`.
+    /// jitter), capped at `max` (raised to `base` when below it).
     pub fn retries(max_attempts: u32, base: Duration, max: Duration) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             base_backoff: base,
-            max_backoff: max,
+            max_backoff: max.max(base),
             seed: 0x5EED_5EED,
         }
     }
@@ -223,7 +218,7 @@ impl RetryPolicy {
         }
         let base = Duration::from_millis(env_u64("MONGE_RETRY_BASE_MS").unwrap_or(1));
         let max = Duration::from_millis(env_u64("MONGE_RETRY_MAX_MS").unwrap_or(100));
-        RetryPolicy::retries(max_attempts, base, max.max(base))
+        RetryPolicy::retries(max_attempts, base, max)
     }
 
     /// Would this policy retry after `attempt` failed attempts?
@@ -573,62 +568,24 @@ impl Default for CancelToken {
     }
 }
 
-static CANCEL_ACTIVE: AtomicBool = AtomicBool::new(false);
-static CURRENT_TOKEN: Mutex<Option<CancelToken>> = Mutex::new(None);
-
-struct CancelGuard {
-    prev: Option<CancelToken>,
-}
-
-impl CancelGuard {
-    fn install(token: CancelToken) -> Self {
-        let mut cur = CURRENT_TOKEN.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = cur.replace(token);
-        CANCEL_ACTIVE.store(true, Ordering::Relaxed);
-        CancelGuard { prev }
-    }
-}
-
-impl Drop for CancelGuard {
-    fn drop(&mut self) {
-        let mut cur = CURRENT_TOKEN.lock().unwrap_or_else(|e| e.into_inner());
-        *cur = self.prev.take();
-        CANCEL_ACTIVE.store(cur.is_some(), Ordering::Relaxed);
-    }
-}
-
-/// Runs `f` with `token` installed as the process-global cancellation
-/// token observed by [`checkpoint`]. The previous token (if any) is
-/// restored on exit, including panic unwinds.
+/// Runs `f` with `token` installed as the calling thread's cancellation
+/// token, observed by [`checkpoint`] here and in `f`'s forks. The
+/// previous token (if any) is restored on exit, including unwinds.
 pub fn with_cancellation<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
-    let _guard = CancelGuard::install(token.clone());
-    f()
+    state::install(Some(token.clone()), state::kernel(), f)
 }
 
 /// The cooperative cancellation point the engines call at recursion
 /// leaves and interval-scan boundaries.
 ///
-/// Costs one relaxed atomic load when no token is installed. When the
+/// Costs one thread-local read when no token is installed. When the
 /// installed token has fired, panics with the [`Cancelled`] sentinel —
 /// only call this under a `catch_unwind` boundary that understands it
 /// (the guarded dispatcher's), or with no token installed.
 #[inline]
 pub fn checkpoint() {
-    if CANCEL_ACTIVE.load(Ordering::Relaxed) {
-        checkpoint_slow();
-    }
-}
-
-#[cold]
-fn checkpoint_slow() {
-    let token = CURRENT_TOKEN
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    if let Some(t) = token {
-        if t.is_cancelled() {
-            panic_any(Cancelled);
-        }
+    if state::cancelled() {
+        panic_any(Cancelled);
     }
 }
 
@@ -974,6 +931,15 @@ mod tests {
         assert_eq!(RetryPolicy::NONE.backoff(1, 1), Duration::ZERO);
         assert!(RetryPolicy::NONE.allows(0) && !RetryPolicy::NONE.allows(1));
         assert!(p.allows(3) && !p.allows(4));
+    }
+
+    #[test]
+    fn retry_ceiling_below_the_floor_is_raised_to_it() {
+        let p = RetryPolicy::retries(2, Duration::from_millis(10), Duration::from_millis(1));
+        assert_eq!(p.max_backoff, Duration::from_millis(10));
+        for attempt in 1..=3 {
+            assert_eq!(p.backoff(0, attempt), Duration::from_millis(10));
+        }
     }
 
     #[test]

@@ -18,14 +18,12 @@
 //!    bodies entirely; without it every query returns `None` and the
 //!    scalar scans run unconditionally (`--no-default-features` builds
 //!    are pure safe Rust).
-//! 2. **Process selection** — [`select`] stores a process-global
-//!    [`Kernel`] choice (an atomic, like the comparison tally in
-//!    [`crate::eval`]). It is seeded from the `MONGE_KERNEL`
-//!    environment variable (`auto` | `scalar` | `simd`) on first read;
-//!    `monge_parallel`'s dispatcher re-applies its `Tuning::kernel`
-//!    knob here on entry. Because the selection is process-wide,
-//!    concurrent solves with *different* kernel forcings race on it;
-//!    answers are unaffected (every kernel is exact), only speed.
+//! 2. **Per-solve selection** — [`with_kernel`] pins a [`Kernel`] on
+//!    the calling thread and the closure's forks; `monge_parallel`'s
+//!    dispatcher pins each solve's `Tuning::kernel` this way, so
+//!    concurrent solves do not race. [`Kernel::Auto`] is no request.
+//!    Outside any pin, `MONGE_KERNEL` (`auto` | `scalar` | `simd`,
+//!    read once) decides.
 //! 3. **Run time** — [`simd_available`] caches one
 //!    `is_x86_feature_detected!("avx2")` probe. Forcing
 //!    [`Kernel::Simd`] on a host without AVX2 (or a non-x86-64 host;
@@ -42,9 +40,10 @@
 //! with [`Value::total_lt`] (`<`) on every NaN-free input — and the
 //! [`Value`] contract forbids NaN by construction.
 
+use crate::state;
 use crate::tiebreak::Tie;
 use crate::value::Value;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// Which `(min, argmin)` implementation the slice scans should use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -78,87 +77,23 @@ impl Kernel {
     }
 }
 
-/// Process-global selection. `u8::MAX` = not yet seeded from the
-/// environment; otherwise a `Kernel` discriminant.
-static SELECTED: AtomicU8 = AtomicU8::new(u8::MAX);
-
-fn encode(k: Kernel) -> u8 {
-    match k {
-        Kernel::Auto => 0,
-        Kernel::Scalar => 1,
-        Kernel::Simd => 2,
+/// Runs `f` with the calling thread's scans, and those of `f`'s forks,
+/// pinned to `k`; the previous pin is restored when `f` returns or
+/// unwinds. [`Kernel::Auto`] pins nothing, so an enclosing pin applies.
+pub fn with_kernel<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
+    if k == Kernel::Auto {
+        return f();
     }
+    state::install(state::Fork::capture().token, k, f)
 }
 
-/// Sets the process-global kernel selection.
-///
-/// This is a raw, unscoped write: nothing restores the previous
-/// selection, and a panic between a `select` and its manual restore
-/// leaves the pin stale for the rest of the process. Code that pins
-/// temporarily — measurement probes, differential tests — should use
-/// [`scoped`] instead.
-pub fn select(k: Kernel) {
-    SELECTED.store(encode(k), Ordering::Relaxed);
-}
-
-/// Pins the process-global kernel selection for the lifetime of the
-/// returned guard, restoring the prior selection on drop — including
-/// on unwind, so a panicking measurement or test assertion can never
-/// leave a stale pin behind.
-///
-/// Pins are process-global state, not a stack: two overlapping guards
-/// on different threads race, and the one dropped last wins. Callers
-/// that interleave pinned sections (the kernel differential tests, the
-/// autotune measurement loop) must serialize them externally.
-///
-/// ```
-/// use monge_core::kernel::{self, Kernel};
-///
-/// let before = kernel::selected();
-/// {
-///     let _pin = kernel::scoped(Kernel::Scalar);
-///     assert_eq!(kernel::selected(), Kernel::Scalar);
-/// }
-/// assert_eq!(kernel::selected(), before);
-/// ```
-#[must_use = "the pin is released when the guard drops"]
-pub fn scoped(k: Kernel) -> ScopedKernel {
-    let prev = selected();
-    select(k);
-    ScopedKernel { prev }
-}
-
-/// RAII guard for a temporary kernel pin; see [`scoped`].
-#[derive(Debug)]
-pub struct ScopedKernel {
-    prev: Kernel,
-}
-
-impl ScopedKernel {
-    /// The selection this guard will restore when dropped.
-    pub fn previous(&self) -> Kernel {
-        self.prev
-    }
-}
-
-impl Drop for ScopedKernel {
-    fn drop(&mut self) {
-        select(self.prev);
-    }
-}
-
-/// The current process-global selection; seeds itself from
-/// `MONGE_KERNEL` (default [`Kernel::Auto`]) on first read.
+/// The kernel the calling thread's scans use: the innermost
+/// [`with_kernel`] pin, else `MONGE_KERNEL` (default [`Kernel::Auto`]).
 pub fn selected() -> Kernel {
-    match SELECTED.load(Ordering::Relaxed) {
-        0 => Kernel::Auto,
-        1 => Kernel::Scalar,
-        2 => Kernel::Simd,
-        _ => {
-            let k = Kernel::from_env().unwrap_or(Kernel::Auto);
-            SELECTED.store(encode(k), Ordering::Relaxed);
-            k
-        }
+    static ENV: OnceLock<Kernel> = OnceLock::new();
+    match state::kernel() {
+        Kernel::Auto => *ENV.get_or_init(|| Kernel::from_env().unwrap_or(Kernel::Auto)),
+        k => k,
     }
 }
 
@@ -173,7 +108,6 @@ pub const fn simd_compiled() -> bool {
 pub fn simd_available() -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        use std::sync::OnceLock;
         static AVX2: OnceLock<bool> = OnceLock::new();
         *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }
@@ -584,40 +518,25 @@ mod tests {
         assert_eq!(Kernel::default(), Kernel::Auto);
     }
 
-    /// Serializes the tests that mutate the process-global selection.
-    static SELECT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
-    fn selection_is_sticky() {
-        let _g = SELECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fn pins_are_scoped_to_the_closure_and_the_thread() {
         let before = selected();
-        select(Kernel::Scalar);
-        assert_eq!(selected(), Kernel::Scalar);
-        assert!(!simd_active());
-        select(before);
-        assert_eq!(selected(), before);
-    }
-
-    #[test]
-    fn scoped_pin_restores_on_drop_and_unwind() {
-        let _g = SELECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let before = selected();
-        {
-            let pin = scoped(Kernel::Scalar);
+        with_kernel(Kernel::Scalar, || {
             assert_eq!(selected(), Kernel::Scalar);
-            assert_eq!(pin.previous(), before);
-            // Nested pins restore in LIFO order.
-            {
-                let _inner = scoped(Kernel::Auto);
-                assert_eq!(selected(), Kernel::Auto);
-            }
+            assert!(!simd_active());
+            // `Auto` is no request: the enclosing pin still applies.
+            with_kernel(Kernel::Auto, || assert_eq!(selected(), Kernel::Scalar));
+            with_kernel(Kernel::Simd, || assert_eq!(selected(), Kernel::Simd));
             assert_eq!(selected(), Kernel::Scalar);
-        }
+            // Another thread does not see this one's pin.
+            std::thread::scope(|s| {
+                assert_eq!(s.spawn(selected).join().unwrap(), before);
+            });
+        });
         assert_eq!(selected(), before);
         // A panic inside a pinned section must not leave the pin stale.
         let result = std::panic::catch_unwind(|| {
-            let _pin = scoped(Kernel::Scalar);
-            panic!("measurement blew up");
+            with_kernel(Kernel::Scalar, || panic!("measurement blew up"))
         });
         assert!(result.is_err());
         assert_eq!(selected(), before);

@@ -48,6 +48,8 @@
 //! * [`scratch`] — thread-local grow-only buffer arenas so recursion
 //!   leaves (and rayon workers in `monge-parallel`) run allocation-free
 //!   in steady state.
+//! * [`state`] — the per-thread solve state (cancellation token, kernel
+//!   pin, work counters) that `monge-parallel`'s fork seam carries.
 //! * [`tiebreak`] — the one implementation of the leftmost/rightmost
 //!   tie-break rule every scan, reduction and candidate merge shares.
 //! * [`guard`] — the fault model of the guarded dispatch layer:
@@ -89,6 +91,7 @@ pub mod queryindex;
 pub mod scratch;
 pub mod smawk;
 pub mod staircase;
+pub mod state;
 pub mod tiebreak;
 pub mod tube;
 pub mod value;

@@ -592,14 +592,13 @@ impl TuningProvenance {
 /// What one dispatched solve did: evaluation/comparison/task/arena
 /// counts, per-phase wall time, and (for simulator backends) the
 /// machine-model cost. Filled cooperatively — the dispatcher stamps the
-/// identity fields, wall clock and process-global counter deltas; the
-/// backend records phases, entry evaluations and machine counters.
+/// identity fields, wall clock and the solve's comparison/task/checkout
+/// counts; the backend records phases, entry evaluations and machine
+/// counters.
 ///
-/// The evaluation/comparison/task/checkout counters are process-global
-/// and relaxed-atomic: under concurrent solves the deltas attribute
-/// other threads' activity to whichever solve observes it. They are
-/// exact when solves are not racing each other, which is how the tests
-/// and benches run.
+/// The comparison/task/checkout counts are the change in the solving
+/// thread's tally ([`crate::state`]), forks included: exact even while
+/// other threads solve concurrently.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     /// Name of the backend that ran the solve.
@@ -611,7 +610,8 @@ pub struct Telemetry {
     /// Value comparisons performed by the eval layer's scans and
     /// SMAWK's REDUCE/INTERPOLATE steps.
     pub comparisons: u64,
-    /// Rayon tasks forked (0 for sequential and simulator backends).
+    /// Tasks forked through the fork seam (0 for sequential and
+    /// simulator backends).
     pub tasks: u64,
     /// Scratch-arena buffer checkouts.
     pub arena_checkouts: u64,

@@ -35,22 +35,18 @@
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::state::{self, Tally};
 
 thread_local! {
     static POOLS: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> =
         RefCell::new(HashMap::new());
 }
 
-/// Process-global count of arena checkouts (every [`with_scratch`]
-/// entry; [`with_scratch2`] counts as two). Relaxed, best-effort under
-/// concurrency — the dispatch layer's telemetry snapshots deltas around
-/// each solve to report how much scratch traffic a search generated.
-static CHECKOUTS: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the process-global checkout counter.
+/// Arena checkouts ([`with_scratch2`] counts two) on the calling thread
+/// and the forks it joined ([`crate::state`]).
 pub fn checkout_count() -> u64 {
-    CHECKOUTS.load(Ordering::Relaxed)
+    state::tally().checkouts
 }
 
 /// Runs `f` with a scratch vector checked out of this thread's pool,
@@ -73,7 +69,10 @@ pub fn checkout_count() -> u64 {
 /// });
 /// ```
 pub fn with_scratch<T: 'static, R>(f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-    CHECKOUTS.fetch_add(1, Ordering::Relaxed);
+    state::add(Tally {
+        checkouts: 1,
+        ..Tally::default()
+    });
     let key = TypeId::of::<Vec<T>>();
     let mut boxed: Box<dyn Any> = POOLS
         .with(|p| p.borrow_mut().get_mut(&key).and_then(Vec::pop))

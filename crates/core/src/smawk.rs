@@ -105,8 +105,8 @@ pub fn row_minima_totally_monotone_into<T: Value, A: Array2d<T>>(
     }
     out.fill(0);
     // Comparisons are tallied locally through the recursion and flushed
-    // to the process-global telemetry counter once per call, keeping the
-    // atomic off the REDUCE hot path.
+    // to the thread's tally once per call, keeping the counter off the
+    // REDUCE hot path.
     let mut cmp = 0u64;
     crate::scratch::with_scratch2(|rows: &mut Vec<usize>, cols: &mut Vec<usize>| {
         rows.clear();

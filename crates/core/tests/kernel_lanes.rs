@@ -6,32 +6,18 @@
 //! vector width, plateaus crossing lane boundaries, `±0.0`, all-`∞`
 //! sentinel rows and one-element intervals.
 //!
-//! Kernel selection is process-global, so every test that pins it goes
-//! through [`with_kernel`], which serializes on a mutex and pins via
-//! the scoped RAII guard ([`monge_core::kernel::scoped`]) — the
-//! previous selection is restored even when an assertion inside the
-//! closure panics. Under `--no-default-features` the `Simd` passes
-//! silently degrade to scalar-vs-scalar, which keeps the suite
-//! meaningful in both CI feature legs.
+//! Tests that pin a kernel go through [`with_kernel`], whose
+//! pin belongs to the calling thread and is restored even when an
+//! assertion inside the closure panics, so they run in parallel with
+//! no lock. Under `--no-default-features` the `Simd` passes silently
+//! degrade to scalar-vs-scalar, which keeps the suite meaningful in
+//! both CI feature legs.
 
 use monge_core::array2d::{Array2d, Dense, FnArray};
 use monge_core::eval;
-use monge_core::kernel::{self, Kernel};
+use monge_core::kernel::{with_kernel, Kernel};
 use monge_core::tiebreak::Tie;
 use monge_core::value::Value;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serializes tests that touch the process-global kernel selection.
-static KERNEL_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_kernel<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
-    let guard: MutexGuard<'_, ()> = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let pin = kernel::scoped(k);
-    let r = f();
-    drop(pin);
-    drop(guard);
-    r
-}
 
 /// Reference argmin with explicit tie semantics, written as the most
 /// naive possible loop.

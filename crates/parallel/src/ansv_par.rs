@@ -12,8 +12,8 @@
 //!    block-minima array), then binary search that block's monotone
 //!    suffix/prefix minima — `O(lg n)` per element, blocks in parallel.
 
+use crate::runtime::par_map;
 use monge_core::ansv::Ansv;
-use rayon::prelude::*;
 
 /// Parallel ANSV: for each element, the nearest strictly smaller element
 /// to its left and to its right.
@@ -30,79 +30,72 @@ pub fn par_ansv<T: PartialOrd + Sync>(a: &[T]) -> Ansv {
     let nb = n.div_ceil(block);
 
     // Per-block minima (value index pairs; leftmost minimum).
-    let bmin: Vec<usize> = (0..nb)
-        .into_par_iter()
-        .map(|t| {
-            let lo = t * block;
-            let hi = (lo + block).min(n);
-            let mut best = lo;
-            for j in lo + 1..hi {
-                if a[j] < a[best] {
-                    best = j;
-                }
+    let bmin: Vec<usize> = par_map((0..nb).collect(), |t| {
+        let lo = t * block;
+        let hi = (lo + block).min(n);
+        let mut best = lo;
+        for j in lo + 1..hi {
+            if a[j] < a[best] {
+                best = j;
             }
-            best
-        })
-        .collect();
+        }
+        best
+    });
 
     // Per-block prefix-minima and suffix-minima index tables for the
     // inner binary searches.
-    let left: Vec<Option<usize>> = (0..nb)
-        .into_par_iter()
-        .flat_map_iter(|t| {
-            let lo = t * block;
-            let hi = (lo + block).min(n);
-            let mut out = Vec::with_capacity(hi - lo);
-            // Local stack pass for in-block matches.
-            let mut stack: Vec<usize> = Vec::new();
-            for i in lo..hi {
-                while let Some(&top) = stack.last() {
-                    if a[top] < a[i] {
-                        break;
-                    }
-                    stack.pop();
+    let left: Vec<Option<usize>> = par_map((0..nb).collect(), |t| {
+        let lo = t * block;
+        let hi = (lo + block).min(n);
+        let mut out = Vec::with_capacity(hi - lo);
+        // Local stack pass for in-block matches.
+        let mut stack: Vec<usize> = Vec::new();
+        for i in lo..hi {
+            while let Some(&top) = stack.last() {
+                if a[top] < a[i] {
+                    break;
                 }
-                let local = stack.last().copied();
-                stack.push(i);
-                if local.is_some() {
-                    out.push(local);
-                } else {
-                    // Unresolved: nearest earlier block with min < a[i].
-                    out.push(cross_block_left(a, &bmin, t, i, lo, block));
-                }
+                stack.pop();
             }
-            out
-        })
-        .collect();
+            let local = stack.last().copied();
+            stack.push(i);
+            if local.is_some() {
+                out.push(local);
+            } else {
+                // Unresolved: nearest earlier block with min < a[i].
+                out.push(cross_block_left(a, &bmin, t, i, lo, block));
+            }
+        }
+        out
+    })
+    .concat();
 
-    let right: Vec<Option<usize>> = (0..nb)
-        .into_par_iter()
-        .flat_map_iter(|t| {
-            let lo = t * block;
-            let hi = (lo + block).min(n);
-            let mut out = Vec::with_capacity(hi - lo);
-            let mut stack: Vec<usize> = Vec::new();
-            let mut rev: Vec<Option<usize>> = vec![None; hi - lo];
-            for i in (lo..hi).rev() {
-                while let Some(&top) = stack.last() {
-                    if a[top] < a[i] {
-                        break;
-                    }
-                    stack.pop();
+    let right: Vec<Option<usize>> = par_map((0..nb).collect(), |t| {
+        let lo = t * block;
+        let hi = (lo + block).min(n);
+        let mut out = Vec::with_capacity(hi - lo);
+        let mut stack: Vec<usize> = Vec::new();
+        let mut rev: Vec<Option<usize>> = vec![None; hi - lo];
+        for i in (lo..hi).rev() {
+            while let Some(&top) = stack.last() {
+                if a[top] < a[i] {
+                    break;
                 }
-                rev[i - lo] = stack.last().copied();
-                stack.push(i);
+                stack.pop();
             }
-            for i in lo..hi {
-                if rev[i - lo].is_some() {
-                    out.push(rev[i - lo]);
-                } else {
-                    out.push(cross_block_right(a, &bmin, t, i, hi, block, n));
-                }
+            rev[i - lo] = stack.last().copied();
+            stack.push(i);
+        }
+        for i in lo..hi {
+            if rev[i - lo].is_some() {
+                out.push(rev[i - lo]);
+            } else {
+                out.push(cross_block_right(a, &bmin, t, i, hi, block, n));
             }
-            out
-        })
-        .collect();
+        }
+        out
+    })
+    .concat();
 
     Ansv { left, right }
 }

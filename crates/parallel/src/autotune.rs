@@ -617,9 +617,8 @@ fn write_table(
 /// rows (planes for tubes), else a prefix window of the real arrays —
 /// sub-arrays of Monge arrays are Monge, staircase boundaries stay
 /// valid under row-prefixing, so every candidate runs the real
-/// algorithm on real data. Kernel pins applied while timing are scoped
-/// ([`monge_core::kernel::scoped`]): a panicking candidate cannot leak
-/// its pin into the process.
+/// algorithm on real data. Each candidate's kernel pin lasts only for
+/// its own run, so a panicking candidate cannot leak it.
 pub(crate) fn measure<T: Value>(d: &Dispatcher<T>, problem: &Problem<'_, T>) -> Option<Winner> {
     with_probe(problem, PROBE_ROWS, |probe| {
         let calibrated = runtime::calibrate(&probe.primary_array());
@@ -664,9 +663,6 @@ pub(crate) fn measure<T: Value>(d: &Dispatcher<T>, problem: &Problem<'_, T>) -> 
         if candidates.is_empty() {
             return None;
         }
-        // Restore whatever kernel pin was active before measuring, even
-        // if a candidate panics mid-run.
-        let _pin = kernel::scoped(kernel::selected());
         // One untimed warm-up: fault in code paths and grow the scratch
         // arenas so the first timed candidate isn't penalized for them.
         let (b0, t0) = candidates[0];

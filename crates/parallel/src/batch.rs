@@ -42,7 +42,7 @@
 //! use monge_core::array2d::Dense;
 //! use monge_core::problem::Problem;
 //! use monge_parallel::batch::BatchPolicy;
-//! use monge_parallel::Dispatcher;
+//! use monge_parallel::{AutotuneMode, Autotuner, Dispatcher};
 //!
 //! let a = Dense::tabulate(64, 64, |i, j| {
 //!     let d = i as i64 - j as i64;
@@ -50,7 +50,9 @@
 //! });
 //! let b = Dense::tabulate(16, 48, |i, j| (i as i64 - j as i64).abs());
 //! let batch = [Problem::row_minima(&a), Problem::row_minima(&b)];
-//! let d = Dispatcher::with_default_backends();
+//! // An in-memory autotuner keeps winners out of the user's cache.
+//! let tuner = Autotuner::in_memory(AutotuneMode::On);
+//! let d = Dispatcher::with_default_backends().with_autotuner(tuner.into());
 //! let results = d.solve_batch(&batch, BatchPolicy::default());
 //! assert_eq!(results.len(), 2);
 //! assert!(results.iter().all(|r| r.is_ok()));
@@ -449,12 +451,16 @@ impl std::error::Error for SubmitError {}
 /// use monge_core::array2d::Dense;
 /// use monge_core::problem::Problem;
 /// use monge_parallel::batch::{BatchPolicy, SolverService};
+/// use monge_parallel::{AutotuneMode, Autotuner, Dispatcher};
 ///
 /// let a = Dense::tabulate(32, 32, |i, j| {
 ///     let d = i as i64 - j as i64;
 ///     d * d
 /// });
-/// let mut svc = SolverService::new(BatchPolicy::default());
+/// // An in-memory autotuner keeps winners out of the user's cache.
+/// let tuner = Autotuner::in_memory(AutotuneMode::On);
+/// let d = Dispatcher::with_default_backends().with_autotuner(tuner.into());
+/// let mut svc = SolverService::with_dispatcher(d, BatchPolicy::default());
 /// svc.submit("tenant-a", Problem::row_minima(&a)).unwrap();
 /// svc.submit("tenant-b", Problem::row_maxima(&a)).unwrap();
 /// let results = svc.drain();

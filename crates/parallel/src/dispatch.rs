@@ -10,7 +10,7 @@
 //! the problem kind and its structural requirements, picks an engine by
 //! the size/calibration policy of [`crate::tuning`], and returns the
 //! [`Solution`] together with a populated [`Telemetry`]: entry
-//! evaluations, comparisons, forked rayon tasks, arena checkouts,
+//! evaluations, comparisons, forked tasks, arena checkouts,
 //! per-phase wall time, and — for the simulators — the machine-model
 //! cost counters straight out of the run.
 //!
@@ -65,7 +65,7 @@ use monge_core::scratch::with_scratch;
 use monge_core::smawk::{row_minima_totally_monotone, RowExtrema};
 use monge_core::tiebreak::Tie;
 use monge_core::value::Value;
-use monge_core::{banded, eval, scratch, staircase, tube};
+use monge_core::{banded, eval, kernel, staircase, state, tube};
 
 use crate::autotune::{self, AutotuneKey, AutotuneMode, Autotuner, Claim};
 use crate::health::HealthRegistry;
@@ -117,9 +117,8 @@ impl Capabilities {
 /// A backend consumes the [`Problem`] IR and produces a [`Solution`],
 /// recording its phases, entry-evaluation count and (for simulators)
 /// machine counters into the [`Telemetry`] it is handed. The dispatcher
-/// stamps the identity fields, the wall clock and the process-global
-/// counter deltas (comparisons, rayon tasks, arena checkouts) around
-/// the call.
+/// stamps the identity fields, the wall clock and the solve's counts
+/// (comparisons, forked tasks, arena checkouts) around the call.
 pub trait Backend<T: Value>: Send + Sync {
     /// Registry name (`"sequential"`, `"rayon"`, `"pram:tree"`, …).
     fn name(&self) -> &'static str;
@@ -328,7 +327,6 @@ impl<T: Value> Backend<T> for RayonBackend {
         tuning: &Tuning,
         telemetry: &mut Telemetry,
     ) -> Solution<T> {
-        use rayon::prelude::*;
         let t = *tuning;
         match *problem {
             Problem::Rows {
@@ -341,15 +339,9 @@ impl<T: Value> Backend<T> for RayonBackend {
                 let a = Metered::new(array);
                 let t0 = Instant::now();
                 let index = if structure == Structure::Plain {
-                    runtime::add_tasks(a.rows() as u64);
-                    (0..a.rows())
-                        .into_par_iter()
-                        .map(|i| {
-                            with_scratch(|buf: &mut Vec<T>| {
-                                plain_row_opt(&a, i, objective, tie, buf)
-                            })
-                        })
-                        .collect()
+                    runtime::par_map((0..a.rows()).collect(), |i| {
+                        with_scratch(|buf: &mut Vec<T>| plain_row_opt(&a, i, objective, tie, buf))
+                    })
                 } else {
                     let (mut index, mirror) =
                         lower_rows(&a, structure, objective, tie, |arr, tt| {
@@ -945,21 +937,15 @@ impl<T: Value> Dispatcher<T> {
         Some(self.run(backend, problem, &tuning))
     }
 
-    /// The instrumentation wrapper: snapshots the process-global
-    /// counters, runs the backend, stamps identity, wall clock and
-    /// counter deltas.
+    /// The instrumentation wrapper: runs the backend under the tuning's
+    /// kernel pin, then stamps identity, wall clock and the change in
+    /// this thread's tally, forks included.
     pub(crate) fn run(
         &self,
         backend: &dyn Backend<T>,
         problem: &Problem<'_, T>,
         tuning: &Tuning,
     ) -> (Solution<T>, Telemetry) {
-        // Honor the tuning's kernel request before any scan runs; the
-        // selection is process-global (see `monge_core::kernel`), so a
-        // `Scalar`/`Simd` pin here outlives the solve by design —
-        // callers mixing pinned tunings across threads should
-        // serialize solves themselves.
-        tuning.apply_kernel();
         let mut telemetry = Telemetry {
             backend: backend.name(),
             kind: Some(problem.kind()),
@@ -969,15 +955,16 @@ impl<T: Value> Dispatcher<T> {
             provenance: Some(TuningProvenance::Default),
             ..Telemetry::default()
         };
-        let comparisons0 = eval::comparison_count();
-        let checkouts0 = scratch::checkout_count();
-        let tasks0 = runtime::task_count();
+        let before = state::tally();
         let start = Instant::now();
-        let solution = backend.solve(problem, tuning, &mut telemetry);
+        let solution = kernel::with_kernel(tuning.kernel, || {
+            backend.solve(problem, tuning, &mut telemetry)
+        });
         telemetry.total_nanos = start.elapsed().as_nanos();
-        telemetry.comparisons = eval::comparison_count().saturating_sub(comparisons0);
-        telemetry.arena_checkouts = scratch::checkout_count().saturating_sub(checkouts0);
-        telemetry.tasks = runtime::task_count().saturating_sub(tasks0);
+        let spent = state::tally().since(before);
+        telemetry.comparisons = spent.comparisons;
+        telemetry.arena_checkouts = spent.checkouts;
+        telemetry.tasks = spent.tasks;
         (solution, telemetry)
     }
 }

@@ -351,33 +351,24 @@ impl<T: Value> Dispatcher<T> {
             ..GuardOutcome::default()
         };
         let t0 = Instant::now();
-        let validated = catch_unwind(AssertUnwindSafe(|| validate(problem, policy)));
+        let validated = attempt("validator", None, t0, policy, || validate(problem, policy))?;
         outcome.validation_nanos = t0.elapsed().as_nanos();
-        match validated {
-            Ok(Ok(())) => {}
-            Ok(Err(witness)) => {
-                // Broken promises are a health signal too: recorded
-                // against the "validator" pseudo-backend, which is
-                // never admission-checked (it is not a chain link) but
-                // shows up in snapshots.
-                self.health().record(
-                    "validator",
-                    Observation::Violation,
-                    outcome.validation_nanos.min(u64::MAX as u128) as u64,
-                );
-                match policy.on_violation {
-                    ViolationAction::Fail => return Err(SolveError::StructureViolation(witness)),
-                    ViolationAction::Quarantine => {
-                        outcome.quarantined = true;
-                        outcome.witness = Some(*witness);
-                    }
+        if let Err(witness) = validated {
+            // Broken promises are a health signal too: recorded against
+            // the "validator" pseudo-backend, which is never
+            // admission-checked (it is not a chain link) but shows up
+            // in snapshots.
+            self.health().record(
+                "validator",
+                Observation::Violation,
+                outcome.validation_nanos.min(u64::MAX as u128) as u64,
+            );
+            match policy.on_violation {
+                ViolationAction::Fail => return Err(SolveError::StructureViolation(witness)),
+                ViolationAction::Quarantine => {
+                    outcome.quarantined = true;
+                    outcome.witness = Some(*witness);
                 }
-            }
-            Err(payload) => {
-                return Err(SolveError::BackendPanic {
-                    backend: "validator",
-                    payload: payload_to_string(payload.as_ref()),
-                })
             }
         }
         Ok(outcome)
@@ -424,7 +415,7 @@ impl<T: Value> Dispatcher<T> {
             }
         }
         chain.push(&brute);
-        chain.truncate(policy.max_fallback_depth + 1);
+        chain.truncate(policy.max_fallback_depth.saturating_add(1));
 
         // --- Walk the chain, each attempt under catch_unwind. The
         //     breaker is consulted per link at walk time (never for the
@@ -457,12 +448,11 @@ impl<T: Value> Dispatcher<T> {
                 attempts_here += 1;
                 attempted_any = true;
                 let t_attempt = Instant::now();
-                let attempt = catch_unwind(AssertUnwindSafe(|| match &token {
-                    Some(tok) => with_cancellation(tok, || self.run(*backend, problem, &tuning)),
-                    None => self.run(*backend, problem, &tuning),
-                }));
+                let result = attempt(name, token.as_ref(), start, policy, || {
+                    self.run(*backend, problem, &tuning)
+                });
                 let latency = t_attempt.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                match attempt {
+                match result {
                     Ok((solution, mut telemetry)) => {
                         health.record(name, Observation::Ok, latency);
                         outcome.attempts.push(Attempt {
@@ -475,41 +465,38 @@ impl<T: Value> Dispatcher<T> {
                         telemetry.health_snapshot = Some(health.snapshot());
                         return Ok((solution, telemetry));
                     }
-                    Err(payload) => {
-                        if payload.downcast_ref::<Cancelled>().is_some() {
-                            health.record(name, Observation::Deadline, latency);
-                            outcome.attempts.push(Attempt {
-                                backend: name,
-                                outcome: AttemptOutcome::DeadlineExceeded,
-                            });
-                            // A deadline abort only retries when slack
-                            // remains — i.e. an explicit cancel raced a
-                            // deadline that has not actually elapsed.
-                            let slack = token
-                                .as_ref()
-                                .and_then(|t| t.remaining())
-                                .unwrap_or(Duration::ZERO);
-                            if !slack.is_zero()
-                                && retry.allows(attempts_here)
-                                && health.try_spend_retry()
-                            {
-                                retries += 1;
-                                health
-                                    .clock()
-                                    .sleep(retry.backoff(policy.seed, attempts_here));
-                                continue;
-                            }
-                            return Err(deadline_error(start, policy));
+                    Err(deadline @ SolveError::DeadlineExceeded { .. }) => {
+                        health.record(name, Observation::Deadline, latency);
+                        outcome.attempts.push(Attempt {
+                            backend: name,
+                            outcome: AttemptOutcome::DeadlineExceeded,
+                        });
+                        // A deadline abort only retries when slack
+                        // remains — i.e. an explicit cancel raced a
+                        // deadline that has not actually elapsed.
+                        let slack = token
+                            .as_ref()
+                            .and_then(|t| t.remaining())
+                            .unwrap_or(Duration::ZERO);
+                        if !slack.is_zero()
+                            && retry.allows(attempts_here)
+                            && health.try_spend_retry()
+                        {
+                            retries += 1;
+                            health
+                                .clock()
+                                .sleep(retry.backoff(policy.seed, attempts_here));
+                            continue;
                         }
+                        return Err(deadline);
+                    }
+                    Err(panic) => {
                         health.record(name, Observation::Panic, latency);
                         outcome.attempts.push(Attempt {
                             backend: name,
                             outcome: AttemptOutcome::Panicked,
                         });
-                        last_panic = Some(SolveError::BackendPanic {
-                            backend: name,
-                            payload: payload_to_string(payload.as_ref()),
-                        });
+                        last_panic = Some(panic);
                         let deadline_live = token.as_ref().is_none_or(|t| !t.is_cancelled());
                         if deadline_live && retry.allows(attempts_here) && health.try_spend_retry()
                         {
@@ -540,6 +527,32 @@ impl<T: Value> Dispatcher<T> {
             payload: "fallback chain was empty".to_string(),
         }))
     }
+}
+
+/// One guarded attempt of `backend`: `f` under `catch_unwind` and
+/// `token`, if any. A fired token surfaces as
+/// [`SolveError::DeadlineExceeded`], any other panic as a backend panic.
+pub(crate) fn attempt<R>(
+    backend: &'static str,
+    token: Option<&CancelToken>,
+    start: Instant,
+    policy: &GuardPolicy,
+    f: impl FnOnce() -> R,
+) -> Result<R, SolveError> {
+    catch_unwind(AssertUnwindSafe(|| match token {
+        Some(tok) => with_cancellation(tok, f),
+        None => f(),
+    }))
+    .map_err(|payload| {
+        if payload.downcast_ref::<Cancelled>().is_some() {
+            deadline_error(start, policy)
+        } else {
+            SolveError::BackendPanic {
+                backend,
+                payload: payload_to_string(payload.as_ref()),
+            }
+        }
+    })
 }
 
 fn deadline_error(start: Instant, policy: &GuardPolicy) -> SolveError {

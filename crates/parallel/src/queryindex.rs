@@ -20,19 +20,17 @@
 //!   phase, and the index accounting fields (`index_builds`,
 //!   `index_bytes`, `index_breakpoints`).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use monge_core::guard::{
-    payload_to_string, with_cancellation, Attempt, AttemptOutcome, CancelToken, Cancelled,
-    GuardOutcome, GuardPolicy, SolveError,
+    Attempt, AttemptOutcome, CancelToken, GuardOutcome, GuardPolicy, SolveError,
 };
 use monge_core::problem::{Metered, Problem, Structure, Telemetry};
 use monge_core::queryindex::QueryIndex;
 use monge_core::value::Value;
 
 use crate::dispatch::Dispatcher;
-use crate::guarded::validate;
+use crate::guarded::{attempt, validate};
 
 /// The [`Telemetry::backend`] label of index builds.
 pub const QUERYINDEX: &str = "queryindex";
@@ -106,61 +104,37 @@ impl<T: Value> Dispatcher<T> {
         };
 
         let t0 = Instant::now();
-        let validated = catch_unwind(AssertUnwindSafe(|| validate(problem, policy)));
+        let validated = attempt("validator", None, start, policy, || {
+            validate(problem, policy)
+        })?;
         outcome.validation_nanos = t0.elapsed().as_nanos();
-        match validated {
-            Ok(Ok(())) => {}
-            Ok(Err(witness)) => return Err(SolveError::StructureViolation(witness)),
-            Err(payload) => {
-                return Err(SolveError::BackendPanic {
-                    backend: "validator",
-                    payload: payload_to_string(&*payload),
-                })
-            }
+        if let Err(witness) = validated {
+            return Err(SolveError::StructureViolation(witness));
         }
 
         let t_build = Instant::now();
         let metered = Metered::new(array);
-        let attempt = catch_unwind(AssertUnwindSafe(|| match &token {
-            Some(tok) => with_cancellation(tok, || QueryIndex::build(&metered, structure)),
-            None => QueryIndex::build(&metered, structure),
-        }));
+        let ix = attempt(QUERYINDEX, token.as_ref(), start, policy, || {
+            QueryIndex::build(&metered, structure)
+        })??;
         let build_nanos = t_build.elapsed().as_nanos();
-        match attempt {
-            Ok(Ok(ix)) => {
-                outcome.attempts.push(Attempt {
-                    backend: QUERYINDEX,
-                    outcome: AttemptOutcome::Completed,
-                });
-                let mut tel = Telemetry {
-                    backend: QUERYINDEX,
-                    kind: Some(problem.kind()),
-                    ..Telemetry::default()
-                };
-                tel.evaluations = metered.evaluations();
-                tel.record_phase("index_build", build_nanos);
-                tel.total_nanos = start.elapsed().as_nanos();
-                tel.index_builds = 1;
-                tel.index_bytes = ix.bytes();
-                tel.index_breakpoints = ix.breakpoints();
-                tel.guard = Some(outcome);
-                Ok((ix, tel))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(payload) => {
-                if payload.downcast_ref::<Cancelled>().is_some() {
-                    Err(SolveError::DeadlineExceeded {
-                        elapsed: start.elapsed(),
-                        deadline: policy.deadline.unwrap_or_default(),
-                    })
-                } else {
-                    Err(SolveError::BackendPanic {
-                        backend: QUERYINDEX,
-                        payload: payload_to_string(&*payload),
-                    })
-                }
-            }
-        }
+        outcome.attempts.push(Attempt {
+            backend: QUERYINDEX,
+            outcome: AttemptOutcome::Completed,
+        });
+        let mut tel = Telemetry {
+            backend: QUERYINDEX,
+            kind: Some(problem.kind()),
+            ..Telemetry::default()
+        };
+        tel.evaluations = metered.evaluations();
+        tel.record_phase("index_build", build_nanos);
+        tel.total_nanos = start.elapsed().as_nanos();
+        tel.index_builds = 1;
+        tel.index_bytes = ix.bytes();
+        tel.index_breakpoints = ix.breakpoints();
+        tel.guard = Some(outcome);
+        Ok((ix, tel))
     }
 }
 

@@ -25,8 +25,8 @@
 //! call (the plain entry points seed it from the environment; the
 //! `*_with` variants accept an explicit handle, e.g. one produced by
 //! [`crate::runtime::calibrate`]). Forks go through
-//! [`crate::runtime::join_tracked`] so dispatched solves can report
-//! task fan-out; scratch buffers at fork boundaries are checked out of
+//! [`crate::runtime::join`], which carries the solve's deadline,
+//! kernel pin and counters across the fork; scratch buffers at fork boundaries are checked out of
 //! the worker thread's arena ([`monge_core::scratch`]), so steady-state
 //! searches allocate only their output vectors.
 //!
@@ -42,7 +42,6 @@ use monge_core::scratch::with_scratch;
 use monge_core::smawk::RowExtrema;
 use monge_core::tiebreak::{lex_min, Tie};
 use monge_core::value::Value;
-use rayon::prelude::*;
 
 /// Sequential interval scan honoring the tie policy.
 #[inline]
@@ -77,16 +76,14 @@ pub(crate) fn interval_argmin_tie<T: Value, A: Array2d<T>>(
         return interval_scan_seq(a, row, lo, hi, scratch, tie);
     }
     let n_chunks = (hi - lo).div_ceil(chunk);
-    runtime::add_tasks(n_chunks as u64);
-    (0..n_chunks)
-        .into_par_iter()
-        .map(|ci| {
-            let c_lo = lo + ci * chunk;
-            let c_hi = (c_lo + chunk).min(hi);
-            with_scratch(|buf: &mut Vec<T>| interval_scan_seq(a, row, c_lo, c_hi, buf, tie))
-        })
-        .reduce_with(|x, y| lex_min(x, y, tie))
-        .expect("non-empty interval")
+    runtime::par_map((0..n_chunks).collect(), |ci| {
+        let c_lo = lo + ci * chunk;
+        let c_hi = (c_lo + chunk).min(hi);
+        with_scratch(|buf: &mut Vec<T>| interval_scan_seq(a, row, c_lo, c_hi, buf, tie))
+    })
+    .into_iter()
+    .reduce(|x, y| lex_min(x, y, tie))
+    .expect("non-empty interval")
 }
 
 /// Leftmost minimum of `a[row, lo..hi)` with its value — the shape the
@@ -128,7 +125,7 @@ fn rec<T: Value, A: Array2d<T>>(
         rec_seq(a, mid + 1, r1, best, c1, bot, scratch, t, tie);
         return;
     }
-    runtime::join_tracked(
+    runtime::join(
         || with_scratch(|s: &mut Vec<T>| rec(a, r0, mid, c0, best + 1, top, s, t, tie)),
         || with_scratch(|s: &mut Vec<T>| rec(a, mid + 1, r1, best, c1, bot, s, t, tie)),
     );

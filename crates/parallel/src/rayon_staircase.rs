@@ -9,16 +9,15 @@
 //!   are combined by value, and
 //! * two disjoint lower subproblems.
 //!
-//! Subproblems run under the task-counting
-//! [`crate::runtime::join_tracked`]; the overlapping upper regions
-//! write into separate buffers that are merged in parallel. Grain sizes
+//! Subproblems fork through [`crate::runtime::join`]; the overlapping
+//! upper regions write into separate buffers that are merged in parallel. Grain sizes
 //! come from the [`Tuning`] value threaded through every call, and all
 //! scratch (scan buffers, the upper-region merge buffer, fork-boundary
 //! checkouts) comes from the thread-local arena of
 //! [`monge_core::scratch`].
 
 use crate::rayon_monge::interval_argmin;
-use crate::runtime::join_tracked;
+use crate::runtime::join;
 use crate::tuning::Tuning;
 use monge_core::array2d::Array2d;
 use monge_core::scratch::{with_scratch, with_scratch2};
@@ -104,7 +103,7 @@ fn rec<T: Value, A: Array2d<T>>(
     };
     let lower = |below_hi: &mut [Cand<T>], below_lo: &mut [Cand<T>], scratch: &mut Vec<T>| {
         if parallel {
-            join_tracked(
+            join(
                 || with_scratch(|s: &mut Vec<T>| rec(a, f, mid + 1, cut, best, c1, below_hi, s, t)),
                 || with_scratch(|s: &mut Vec<T>| rec(a, f, cut, r1, c0, best + 1, below_lo, s, t)),
             );
@@ -115,7 +114,7 @@ fn rec<T: Value, A: Array2d<T>>(
     };
 
     if parallel {
-        join_tracked(
+        join(
             || with_scratch(|s: &mut Vec<T>| upper(above, s)),
             || with_scratch(|s: &mut Vec<T>| lower(below_hi, below_lo, s)),
         );

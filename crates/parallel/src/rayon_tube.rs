@@ -23,7 +23,6 @@ use monge_core::array2d::Array2d;
 use monge_core::scratch::{with_scratch, with_scratch2};
 use monge_core::tube::{plane, TubeExtrema};
 use monge_core::value::Value;
-use rayon::prelude::*;
 
 /// Plane-parallel tube maxima: `(max,+)` product of Monge factors.
 pub fn par_tube_maxima<T: Value, A: Array2d<T>, B: Array2d<T>>(d: &A, e: &B) -> TubeExtrema<T> {
@@ -39,25 +38,18 @@ fn par_tube<T: Value, A: Array2d<T>, B: Array2d<T>>(d: &A, e: &B, maxima: bool) 
     assert_eq!(d.cols(), e.rows(), "inner dimensions disagree");
     let (p, q, r) = (d.rows(), d.cols(), e.cols());
     assert!(q > 0);
-    runtime::add_tasks(p as u64);
-    let per_plane: Vec<(Vec<usize>, Vec<T>)> = (0..p)
-        .into_par_iter()
-        .map(|i| {
-            let pl = plane(d, e, i);
-            let ex = if maxima {
-                monge_core::smawk::row_maxima_monge(&pl)
-            } else {
-                monge_core::smawk::row_minima_monge(&pl)
-            };
-            (ex.index, ex.value)
-        })
-        .collect();
-    let mut index = Vec::with_capacity(p * r);
-    let mut value = Vec::with_capacity(p * r);
-    for (idx, val) in per_plane {
-        index.extend(idx);
-        value.extend(val);
-    }
+    let (index, value): (Vec<_>, Vec<_>) = runtime::par_map((0..p).collect(), |i| {
+        let pl = plane(d, e, i);
+        let ex = if maxima {
+            monge_core::smawk::row_maxima_monge(&pl)
+        } else {
+            monge_core::smawk::row_minima_monge(&pl)
+        };
+        (ex.index, ex.value)
+    })
+    .into_iter()
+    .unzip();
+    let (index, value) = (index.concat(), value.concat());
     TubeExtrema { p, r, index, value }
 }
 
@@ -146,7 +138,7 @@ fn dc<T: Value, A: Array2d<T>, B: Array2d<T>>(
             hi_top.extend(mid_arg.iter().map(|&j| j + 1));
             let lo_bot = &*mid_arg;
             if i1 - i0 > t.tube_seq_planes.max(1) {
-                runtime::join_tracked(
+                runtime::join(
                     || dc(d, e, i0, mid, lo, hi_top, r, top, top_v, t),
                     || dc(d, e, mid + 1, i1, lo_bot, hi, r, bot_i, bot_v, t),
                 );

@@ -1,11 +1,15 @@
-//! The parallel execution runtime: scratch arenas + grain calibration.
+//! The parallel execution runtime: the fork seam, scratch arenas and
+//! grain calibration.
 //!
-//! Two ingredients turn the divide & conquer engines in this crate
-//! into an allocation-free, self-tuning runtime:
-//!
+//! * **The fork seam** — [`join`] and [`par_map`] are the only places
+//!   that fork (a `clippy.toml` lint rejects direct `rayon` forks
+//!   elsewhere). Each runs the forked side under the caller's solve
+//!   state ([`monge_core::state`]) and adds its counts to the joining
+//!   thread exactly once, so a solve's deadline, kernel pin and counters
+//!   follow it into its forks and no others.
 //! * **Scratch arenas** — the thread-local grow-only buffer pools of
 //!   [`monge_core::scratch`], re-exported here ([`with_scratch`],
-//!   [`with_scratch2`]). Every recursion leaf and every rayon task
+//!   [`with_scratch2`]). Every recursion leaf and every forked task
 //!   checks its scan buffer out of the worker thread's pool instead of
 //!   allocating, so steady-state searches perform zero heap
 //!   allocations (the `alloc_free` integration test pins this down
@@ -13,7 +17,7 @@
 //! * **Grain calibration** — [`calibrate`] replaces guessed cutoffs
 //!   with measured ones: it times a few row scans of the array at
 //!   hand, derives the per-entry evaluation cost, and sizes the
-//!   [`Tuning`] cutoffs so each rayon task does roughly
+//!   [`Tuning`] cutoffs so each forked task does roughly
 //!   [`TARGET_TASK_NANOS`] (~20 µs) of work. Cheap dense rows get
 //!   coarse grains; expensive DIST/generator rows get fine grains.
 //!
@@ -56,50 +60,81 @@
 //! output both as one of its candidate tunings and as the fallback
 //! for every call the table cannot answer.
 
+#![allow(clippy::disallowed_methods)] // the one module allowed to fork
+
 use crate::tuning::Tuning;
 use monge_core::array2d::Array2d;
 use monge_core::eval;
 use monge_core::kernel::Kernel;
+use monge_core::state::{self, Fork, Tally};
 use monge_core::value::Value;
-use std::sync::atomic::{AtomicU64, Ordering};
+use rayon::prelude::*;
 use std::time::Instant;
 
 pub use monge_core::scratch::{pooled_buffers, with_scratch, with_scratch2};
 
-/// Process-global tally of rayon tasks forked by the engines (two per
-/// [`join_tracked`], one per parallel scan chunk). Relaxed, best-effort
-/// under concurrency; the dispatch layer snapshots deltas around each
-/// solve so telemetry can report fan-out for free.
-static TASKS: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the process-global task counter.
+/// Tasks forked through the seam (two per [`join`], one per [`par_map`]
+/// item) on the calling thread and the forks it joined.
 pub fn task_count() -> u64 {
-    TASKS.load(Ordering::Relaxed)
+    state::tally().tasks
 }
 
-/// Adds `n` forked tasks to the tally (parallel iterators count their
-/// chunks here).
-pub(crate) fn add_tasks(n: u64) {
-    if n > 0 {
-        TASKS.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// [`rayon::join`] that counts both closures toward [`task_count`] —
-/// the fork primitive every engine in this crate uses, so dispatched
-/// solves can report how many tasks a search actually spawned.
-pub fn join_tracked<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+/// Runs `a` and `b`, potentially in parallel, returning both results;
+/// `b` runs under the caller's token and kernel pin. A panic on either
+/// side (a fired deadline's `Cancelled` included) reaches the caller.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
     RA: Send,
     RB: Send,
 {
-    TASKS.fetch_add(2, Ordering::Relaxed);
-    rayon::join(a, b)
+    let fork = Fork::capture();
+    let (ra, (rb, spent)) = rayon::join(a, move || fork.run(b));
+    state::add(Tally {
+        tasks: spent.tasks + 2,
+        ..spent
+    });
+    (ra, rb)
 }
 
-/// Target amount of work per rayon task, in nanoseconds.
+/// Maps `f` over `items` in parallel, returning the results in input
+/// order. The items are cut into one contiguous piece per runtime
+/// thread, each run under the caller's token and kernel pin.
+pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let len = items.len();
+    state::add(Tally {
+        tasks: len as u64,
+        ..Tally::default()
+    });
+    let pieces = rayon::current_num_threads().clamp(1, len.max(1));
+    if pieces == 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let chunk = len.div_ceil(pieces);
+    let mut rest = items.into_iter();
+    let parts: Vec<Vec<T>> = (0..len.div_ceil(chunk))
+        .map(|_| rest.by_ref().take(chunk).collect())
+        .collect();
+    let fork = Fork::capture();
+    let done: Vec<(Vec<R>, Tally)> = parts
+        .into_par_iter()
+        .map(|part| fork.clone().run(|| part.into_iter().map(&f).collect()))
+        .collect();
+    let mut out = Vec::with_capacity(len);
+    for (part, spent) in done {
+        out.extend(part);
+        state::add(spent);
+    }
+    out
+}
+
+/// Target amount of work per forked task, in nanoseconds.
 ///
 /// Sized for a work-stealing pool, where a spawn or steal costs about a
 /// microsecond: large enough that this overhead stays under ~10% of
@@ -220,6 +255,93 @@ fn per_entry_nanos<T: Value, A: Array2d<T>>(a: &A) -> f64 {
 mod tests {
     use super::*;
     use monge_core::array2d::{Dense, FnArray};
+    use monge_core::guard::{checkpoint, with_cancellation, CancelToken, Cancelled};
+    use monge_core::kernel::{self, with_kernel};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Runs `f` inside a 2-thread pool, where forks spawn real threads,
+    /// then under `install(1)`, where every fork runs inline.
+    fn in_both_pools(f: impl Fn() + Sync) {
+        for n in [2, 1] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .expect("the runtime's pool builder never fails");
+            pool.install(&f);
+        }
+    }
+
+    fn is_cancelled(r: std::thread::Result<()>) -> bool {
+        r.is_err_and(|payload| payload.downcast_ref::<Cancelled>().is_some())
+    }
+
+    #[test]
+    fn forks_see_the_callers_fired_token() {
+        in_both_pools(|| {
+            let token = CancelToken::new();
+            token.cancel();
+            let joined = catch_unwind(AssertUnwindSafe(|| {
+                with_cancellation(&token, || join(|| (), checkpoint).0)
+            }));
+            assert!(
+                is_cancelled(joined),
+                "the joined side's Cancelled reaches the joiner"
+            );
+            // Only the last piece checkpoints: on two threads it is forked.
+            let mapped = catch_unwind(AssertUnwindSafe(|| {
+                with_cancellation(&token, || {
+                    par_map((0..4).collect(), |i| {
+                        if i == 3 {
+                            checkpoint();
+                        }
+                    });
+                })
+            }));
+            assert!(
+                is_cancelled(mapped),
+                "a mapped piece's Cancelled reaches the caller"
+            );
+            // Outside the token, the same forks run clean.
+            join(|| (), checkpoint);
+            par_map((0..4).collect(), |_| checkpoint());
+        });
+    }
+
+    #[test]
+    fn forks_see_the_callers_kernel_pin() {
+        in_both_pools(|| {
+            for k in [Kernel::Scalar, Kernel::Simd] {
+                with_kernel(k, || {
+                    assert_eq!(join(kernel::selected, kernel::selected), (k, k));
+                    assert_eq!(par_map((0..4).collect(), |_| kernel::selected()), [k; 4]);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn forked_counts_reach_the_joiner_exactly_once() {
+        let work = || {
+            with_scratch(|_: &mut Vec<u8>| ());
+            eval::add_comparisons(5);
+        };
+        let counts = |comparisons, checkouts, tasks| Tally {
+            comparisons,
+            checkouts,
+            tasks,
+        };
+        in_both_pools(|| {
+            let before = state::tally();
+            join(work, work);
+            assert_eq!(state::tally().since(before), counts(10, 2, 2));
+            let before = state::tally();
+            join(|| (), || join(work, work));
+            assert_eq!(state::tally().since(before), counts(10, 2, 4));
+            let before = state::tally();
+            par_map((0..4).collect(), |_| work());
+            assert_eq!(state::tally().since(before), counts(20, 4, 4));
+        });
+    }
 
     #[test]
     fn calibrated_cutoffs_are_sane() {

@@ -57,11 +57,9 @@
 //! values cannot cause unbounded recursion either. An unparsable
 //! `MONGE_KERNEL` likewise falls back to the current value.
 //!
-//! The [`Tuning::kernel`] field is a *requested selection*, not a
-//! per-call switch: the dispatcher applies it to the process-global
-//! kernel state ([`monge_core::kernel::select`]) on entry, because the
-//! slice scans deep inside `monge-core` have no `Tuning` in scope (see
-//! the precedence notes in [`monge_core::kernel`]).
+//! The [`Tuning::kernel`] field is a *requested selection*: the slice
+//! scans in `monge-core` have no `Tuning` in scope, so the dispatcher
+//! pins it for the solve ([`monge_core::kernel::with_kernel`]).
 
 use monge_core::kernel::Kernel;
 
@@ -94,10 +92,9 @@ pub struct Tuning {
     /// interval-minimum step instead of recursing.
     pub pram_base_rows: usize,
     /// Which slice-scan kernel the engines should use
-    /// ([`monge_core::kernel::Kernel`]): `Auto` (the default) lets the
-    /// runtime pick SIMD whenever it is compiled in and supported,
-    /// `Scalar`/`Simd` pin the choice. Applied process-globally by the
-    /// dispatcher and by [`crate::runtime::calibrate`].
+    /// ([`monge_core::kernel::Kernel`]): `Auto` (the default) requests
+    /// nothing, `Scalar`/`Simd` pin the choice for the solve. Set by
+    /// [`crate::runtime::calibrate`]'s probe.
     pub kernel: Kernel,
 }
 
@@ -131,16 +128,6 @@ impl Tuning {
             tube_seq_planes: env_usize("MONGE_TUBE_SEQ_PLANES").unwrap_or(self.tube_seq_planes),
             pram_base_rows: env_usize("MONGE_PRAM_BASE_ROWS").unwrap_or(self.pram_base_rows),
             kernel: Kernel::from_env().unwrap_or(self.kernel),
-        }
-    }
-
-    /// Applies this tuning's [`Tuning::kernel`] request to the
-    /// process-global kernel selection. A no-op for [`Kernel::Auto`],
-    /// which is also the global default — so callers that never touch
-    /// the knob never mutate process state.
-    pub fn apply_kernel(&self) {
-        if self.kernel != Kernel::Auto {
-            monge_core::kernel::select(self.kernel);
         }
     }
 }
@@ -190,10 +177,6 @@ mod tests {
     #[test]
     fn default_kernel_is_auto() {
         assert_eq!(Tuning::DEFAULT.kernel, Kernel::Auto);
-        // Applying the default must not disturb the global selection.
-        let before = monge_core::kernel::selected();
-        Tuning::DEFAULT.apply_kernel();
-        assert_eq!(monge_core::kernel::selected(), before);
     }
 
     #[test]

@@ -83,6 +83,23 @@ fn panic_budget_lets_a_fallback_attempt_succeed() {
 }
 
 #[test]
+fn unlimited_fallback_depth_walks_the_full_chain() {
+    let mut rng = StdRng::seed_from_u64(0xDEE9);
+    let base = random_monge_dense(8, 8, &mut rng);
+    let reference = scan_row_minima(&base);
+    // Two transient panics: both host backends die, the brute terminal
+    // runs clean.
+    let f = FaultInjector::new(base, FaultPlan::none(5).panics(1000).panic_budget(2), 0i64);
+    let policy = GuardPolicy::default().with_max_fallback_depth(usize::MAX);
+    let (sol, tel) = Dispatcher::with_default_backends()
+        .solve_guarded(&Problem::row_minima(&f), &policy)
+        .expect("an unlimited depth keeps every chain link");
+    assert_eq!(sol.into_rows().index, reference);
+    let guard = tel.guard.expect("guarded solves stamp an outcome");
+    assert_eq!(guard.fallback_path(), ["sequential", "rayon", "brute"]);
+}
+
+#[test]
 fn quarantined_solves_match_a_direct_scan_of_the_corrupted_array() {
     let base = monge_16();
     let f = FaultInjector::new(base, FaultPlan::none(3).violations(150), 100_000i64);
