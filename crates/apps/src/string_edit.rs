@@ -534,13 +534,19 @@ pub fn edit_distance_dist_tree_with(
 }
 
 /// Combines adjacent DIST matrices in a balanced tree, the two halves
-/// in parallel.
+/// in parallel when both hold a combine.
 fn combine_tree(mut dists: Vec<Dense<i64>>, t: Tuning) -> Dense<i64> {
     if dists.len() == 1 {
         return dists.pop().expect("at least one strip");
     }
     let right = dists.split_off(dists.len() / 2);
-    let (a, b) = runtime::join(|| combine_tree(dists, t), || combine_tree(right, t));
+    // A one-matrix half only pops its matrix; forking for it costs a
+    // thread spawn.
+    let (a, b) = if dists.len() >= 2 && right.len() >= 2 {
+        runtime::join(|| combine_tree(dists, t), || combine_tree(right, t))
+    } else {
+        (combine_tree(dists, t), combine_tree(right, t))
+    };
     combine_dist_arrays_with(&a, &b, t)
 }
 

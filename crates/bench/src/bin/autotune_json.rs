@@ -1,10 +1,9 @@
 //! Autotune winner-vs-default speedups: `bench-results/autotune.json`.
 //!
-//! One representative problem per [`ProblemKind`], each solved through
-//! `Dispatcher::solve_calibrated` so the process-global autotuner
-//! ([`monge_parallel::autotune::global`]) measures (cold cache) or
-//! serves (warm cache) the winner for that key. Per row the JSON
-//! records the autotune key coordinates, the provenance the solve
+//! One representative problem per [`ProblemKind`], each solved as a
+//! single-member `Dispatcher::solve_batch_report` so the dispatcher's
+//! own in-memory autotuner measures the winner for that key. Per row the
+//! JSON records the autotune key coordinates, the provenance the solve
 //! reported, the backend/tuning the static selection heuristic would
 //! have picked, the measured winner, and `ratio` — best-of-reps wall
 //! clock of the default configuration over the winner configuration on
@@ -25,26 +24,18 @@
 //! cargo run --release --bin autotune_json
 //! ```
 //!
-//! Environment:
-//!
-//! * `MONGE_AUTOTUNE` / `MONGE_AUTOTUNE_DIR` steer the global autotuner
-//!   as everywhere else — CI points `MONGE_AUTOTUNE_DIR` at a scratch
-//!   directory and runs the binary twice to exercise the cold and warm
-//!   paths.
-//! * `MONGE_AUTOTUNE_EXPECT=warm` asserts the warm contract: every
-//!   solve must report `cached` provenance and the process must perform
-//!   zero measurements, else the binary exits nonzero.
-//! * `MONGE_BENCH_QUICK` shrinks every problem to smoke-test size
-//!   (quick numbers are not meaningful and are never committed).
+//! `MONGE_BENCH_QUICK` shrinks every problem to smoke-test size (quick
+//! numbers are not meaningful and are never committed).
 
 use monge_bench::json::{document, Record};
 use monge_bench::workloads::rng_for;
 use monge_core::array2d::Dense;
 use monge_core::generators::{random_monge_dense, random_staircase_boundary};
-use monge_core::problem::{Problem, ProblemKind, TuningProvenance};
+use monge_core::problem::{Problem, ProblemKind};
 use monge_parallel::autotune::{self, AutotuneKey};
-use monge_parallel::{Dispatcher, Tuning};
+use monge_parallel::{AutotuneMode, Autotuner, BatchPolicy, Dispatcher, Tuning};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn quick_mode() -> bool {
@@ -158,15 +149,10 @@ fn main() {
     if quick {
         println!("MONGE_BENCH_QUICK set: smoke-test sizes");
     }
-    let expect_warm = std::env::var("MONGE_AUTOTUNE_EXPECT").is_ok_and(|v| v == "warm");
     let reps = if quick { 3 } else { 9 };
-    let d = Dispatcher::<i64>::with_default_backends();
-    let tuner = autotune::global();
-    println!(
-        "autotune mode={:?} host=\"{}\"",
-        tuner.mode(),
-        autotune::host_fingerprint()
-    );
+    let tuner = Arc::new(Autotuner::in_memory(AutotuneMode::On));
+    let d = Dispatcher::<i64>::with_default_backends().with_autotuner(Arc::clone(&tuner));
+    println!("host=\"{}\"", autotune::host_fingerprint());
     let build = if monge_core::kernel::simd_compiled() {
         "simd"
     } else {
@@ -175,48 +161,47 @@ fn main() {
 
     let all = cases(quick);
     let mut records = Vec::new();
-    let mut warm_violations = Vec::new();
     for case in &all {
         let p = case.problem();
-        // Drives the measurement (cold) or the cache hit (warm).
-        let (autotuned_solution, telemetry) = d.solve_calibrated(&p);
-        let provenance = telemetry
+        // Drives the measurement for this key.
+        let report = d.solve_batch_report(std::slice::from_ref(&p), &BatchPolicy::default());
+        let provenance = report.telemetry[0]
             .provenance
-            .expect("calibrated solves stamp provenance");
-        if provenance != TuningProvenance::Cached {
-            warm_violations.push(format!("{:?} reported {}", case.kind, provenance.as_str()));
-        }
+            .expect("batch members stamp provenance");
+        let autotuned_solution = report.results[0]
+            .as_ref()
+            .expect("representative problems solve");
 
         let key = AutotuneKey::of(&p);
         let default_tuning = Tuning::from_env();
-        let default_backend = d.select(&p, &default_tuning).name().to_string();
+        let default_backend = d.select(&p, &default_tuning).name();
         let (default_solution, _) = d
-            .solve_on(&default_backend, &p, default_tuning)
+            .solve_on(default_backend, &p, default_tuning)
             .expect("the selected backend solves its own selection");
         assert_eq!(
-            autotuned_solution, default_solution,
+            *autotuned_solution, default_solution,
             "{:?}: autotuned answer diverges from the default path",
             case.kind
         );
 
         let (winner_backend, winner_tuning) = match tuner.lookup(&key) {
             Some(w) => (w.backend, w.tuning),
-            // Off mode / readonly miss: the table holds nothing, the
-            // winner *is* the default and the row records a 1.0 ratio.
-            None => (default_backend.clone(), default_tuning),
+            // No winner was measured: the winner *is* the default and
+            // the row records a 1.0 ratio.
+            None => (default_backend, default_tuning),
         };
         let identical = winner_backend == default_backend && winner_tuning == default_tuning;
         let (default_ns, winner_ns, ratio) = if identical {
             let ns = best_ns(reps, || {
-                black_box(d.solve_on(&default_backend, &p, default_tuning));
+                black_box(d.solve_on(default_backend, &p, default_tuning));
             });
             (ns, ns, 1.0)
         } else {
             let winner_ns = best_ns(reps, || {
-                black_box(d.solve_on(&winner_backend, &p, winner_tuning));
+                black_box(d.solve_on(winner_backend, &p, winner_tuning));
             });
             let default_ns = best_ns(reps, || {
-                black_box(d.solve_on(&default_backend, &p, default_tuning));
+                black_box(d.solve_on(default_backend, &p, default_tuning));
             });
             (default_ns, winner_ns, default_ns as f64 / winner_ns as f64)
         };
@@ -231,11 +216,11 @@ fn main() {
             Record::new()
                 .str("kind", &format!("{:?}", case.kind))
                 .num("size_class", u128::from(key.size_class))
-                .str("elem", &key.elem)
+                .str("elem", key.elem)
                 .str("build", build)
                 .str("provenance", provenance.as_str())
-                .str("default_backend", &default_backend)
-                .str("winner_backend", &winner_backend)
+                .str("default_backend", default_backend)
+                .str("winner_backend", winner_backend)
                 .num("default_ns", default_ns)
                 .num("winner_ns", winner_ns)
                 .float("ratio", ratio)
@@ -247,19 +232,7 @@ fn main() {
     let doc = document("autotune", &records);
     std::fs::write("bench-results/autotune.json", &doc).expect("write autotune.json");
     println!(
-        "wrote bench-results/autotune.json ({} measurements this process)",
+        "wrote bench-results/autotune.json ({} measurements)",
         tuner.measurements()
     );
-
-    if expect_warm {
-        if !warm_violations.is_empty() || tuner.measurements() != 0 {
-            eprintln!(
-                "MONGE_AUTOTUNE_EXPECT=warm violated: {} measurements, non-cached solves: [{}]",
-                tuner.measurements(),
-                warm_violations.join(", ")
-            );
-            std::process::exit(2);
-        }
-        println!("warm contract held: every solve cached, zero measurements");
-    }
 }

@@ -11,8 +11,8 @@
 //!   request pays calibration (hundreds of microseconds of timed probe
 //!   scans) plus its own selection/validation bookkeeping.
 //! * **batched** — one `solve_batch_report` call: problems grouped by
-//!   `(kind, structure, size-class)`, one autotune decision (backend
-//!   and tuning) per group, then each member through the guarded
+//!   autotune key, one autotune decision (backend and tuning) per
+//!   group, then each member through the guarded
 //!   fallback chain from its group's backend, one after another.
 //!
 //! Per ladder row the JSON records best-of-reps wall clock for both
@@ -32,12 +32,11 @@
 //! are not meaningful and are never committed).
 //!
 //! The committed file is generated from the release `--features simd`
-//! build (each record carries a `build` field saying so): that is the
-//! performance configuration, and the one where per-request
-//! calibration is at its most expensive — `calibrate` times the scalar
-//! scan against the lane kernel per request, which the batch path pays
-//! once per group instead. On the default build dense calibration is
-//! only a few microseconds and the two modes run near parity.
+//! build (each record carries a `build` field saying so), when
+//! `calibrate` still timed the scalar scan against the lane kernel on
+//! every call; it now sizes grains only. On the default build dense
+//! calibration is only a few microseconds and the two modes run near
+//! parity.
 //!
 //! The committed rows were measured on an earlier batch path that cut
 //! each group's members into row strips across the pool; they have not

@@ -1,15 +1,16 @@
 //! Autotune differential conformance: measured backend/tuning selection
 //! must be invisible in the answers. Every problem kind solved through
-//! `solve_calibrated` with the autotuner on (cold *and* warm) must be
-//! bitwise-identical to the autotune-off path and to the sequential
-//! reference; the batch path under autotune must match the solve-loop
-//! path member for member.
+//! a single-member batch with the autotuner on (cold *and* warm) must
+//! be bitwise-identical to the autotune-off path and to the sequential
+//! reference; a mixed batch under autotune must match the guarded
+//! solve loop member for member.
 
 use std::sync::Arc;
 
 use monge_conformance::fuzz::fuzz_budget;
 use monge_conformance::gen::generate;
-use monge_core::problem::{ProblemKind, TuningProvenance};
+use monge_core::guard::GuardPolicy;
+use monge_core::problem::{Problem, ProblemKind, Solution, TuningProvenance};
 use monge_parallel::batch::BatchPolicy;
 use monge_parallel::{AutotuneMode, Autotuner, Dispatcher, Tuning};
 
@@ -19,8 +20,24 @@ fn autotuned_dispatcher() -> (Dispatcher<i64>, Arc<Autotuner>) {
     (d, tuner)
 }
 
+/// One single-member batch: the autotuned entry point.
+fn batch_one(
+    d: &Dispatcher<i64>,
+    p: &Problem<'_, i64>,
+) -> (Solution<i64>, Option<TuningProvenance>) {
+    let report = d.solve_batch_report(std::slice::from_ref(p), &BatchPolicy::default());
+    let provenance = report.telemetry[0].provenance;
+    let sol = report
+        .results
+        .into_iter()
+        .next()
+        .expect("one member")
+        .expect("valid instances must solve");
+    (sol, provenance)
+}
+
 #[test]
-fn calibrated_solves_agree_with_autotune_on_off_and_sequential() {
+fn autotuned_solves_agree_with_autotune_on_off_and_sequential() {
     let (on, _tuner) = autotuned_dispatcher();
     let off = Dispatcher::<i64>::with_default_backends().with_autotuner(Arc::new(Autotuner::off()));
     let budget = fuzz_budget(12);
@@ -35,16 +52,16 @@ fn calibrated_solves_agree_with_autotune_on_off_and_sequential() {
             // Cold pass (first size class encounter measures) and warm
             // pass: both must match the sequential reference exactly.
             for pass in ["cold", "warm"] {
-                let (sol, tel) = on.solve_calibrated(&p);
+                let (sol, provenance) = batch_one(&on, &p);
                 assert_eq!(sol, want, "{kind:?} seed {seed} autotune-on ({pass})");
-                assert!(tel.provenance.is_some(), "{kind:?} seed {seed} ({pass})");
+                assert!(provenance.is_some(), "{kind:?} seed {seed} ({pass})");
             }
-            let (sol, tel) = off.solve_calibrated(&p);
+            let (sol, provenance) = batch_one(&off, &p);
             assert_eq!(sol, want, "{kind:?} seed {seed} autotune-off");
             assert_eq!(
-                tel.provenance,
-                Some(TuningProvenance::Probed),
-                "{kind:?} seed {seed}: off-mode must report the probe path"
+                provenance,
+                Some(TuningProvenance::Default),
+                "{kind:?} seed {seed}: off-mode must report the defaults"
             );
         }
     }
@@ -66,7 +83,9 @@ fn batch_and_loop_agree_under_autotune() {
     let report = d.solve_batch_report(&problems, &BatchPolicy::default());
     for (i, (result, problem)) in report.results.iter().zip(&problems).enumerate() {
         let batch_solution = result.as_ref().expect("valid instances must solve");
-        let (loop_solution, _) = d.solve_calibrated(problem);
+        let (loop_solution, _) = d
+            .solve_guarded_with(problem, &GuardPolicy::default(), Tuning::from_env())
+            .expect("valid instances must solve");
         assert_eq!(
             *batch_solution,
             loop_solution,
@@ -82,7 +101,7 @@ fn batch_and_loop_agree_under_autotune() {
         tuner.measurements() > 0,
         "the batch groups should have driven at least one measurement"
     );
-    // Every key the batch warmed is a cache hit for the loop path.
-    let (_, tel) = d.solve_calibrated(&problems[0]);
-    assert_eq!(tel.provenance, Some(TuningProvenance::Cached));
+    // Every key the batch warmed is a cache hit for the next batch.
+    let (_, provenance) = batch_one(&d, &problems[0]);
+    assert_eq!(provenance, Some(TuningProvenance::Cached));
 }

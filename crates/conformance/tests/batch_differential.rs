@@ -39,7 +39,7 @@ fn batch_equals_guarded_loop_on_mixed_kind_corpus() {
     let guard = GuardPolicy::default();
     let policy = BatchPolicy::default()
         .with_guard(guard)
-        .without_calibration();
+        .with_tuning(Tuning::from_env());
 
     let report = d.solve_batch_report(&problems, &policy);
     assert!(
@@ -94,7 +94,7 @@ fn injected_panics_degrade_only_the_affected_problem() {
     };
     let policy = BatchPolicy::default()
         .with_guard(guard)
-        .without_calibration();
+        .with_tuning(Tuning::from_env());
     let report = d.solve_batch_report(&problems, &policy);
 
     // Every member — the faulted one included — returns the right
@@ -162,7 +162,7 @@ fn deadline_starves_only_the_affected_group() {
     };
     let policy = BatchPolicy::default()
         .with_guard(guard)
-        .without_calibration()
+        .with_tuning(Tuning::from_env())
         .with_deadline(Duration::from_millis(80));
     let report = d.solve_batch_report(&problems, &policy);
 
@@ -194,7 +194,7 @@ fn shed_groups_still_match_the_loop() {
     let guard = GuardPolicy::default();
     let policy = BatchPolicy::default()
         .with_guard(guard)
-        .without_calibration()
+        .with_tuning(Tuning::from_env())
         .shed_above(64); // almost everything is over this budget
     let report = d.solve_batch_report(&problems, &policy);
     assert!(report.shed_groups > 0, "the shed threshold never fired");

@@ -281,9 +281,9 @@ impl std::fmt::Display for BreakerState {
     }
 }
 
-/// A point-in-time view of one backend's health record, stamped into
-/// [`crate::problem::Telemetry::health_snapshot`] by the resilient
-/// serving layer so operators can see *why* a solve took the path it
+/// A point-in-time view of one backend's health record, as the
+/// resilient serving layer's registry (`monge-parallel::health`)
+/// reports it, so operators can see *why* a solve took the path it
 /// did.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BackendHealthSnapshot {

@@ -6,8 +6,14 @@
 //! telescoping sum of adjacent ones). The predicates are used by the test
 //! suite to certify generator output and by debug assertions inside the
 //! searching algorithms.
+//!
+//! The adjacent-quadruple checks the guard layer validates with call
+//! [`checkpoint`] once per row of quadruples (once per `n - 1` draws
+//! for the sampled ones), so a solve's deadline also bounds its
+//! validation without a clock read per quadruple.
 
 use crate::array2d::Array2d;
+use crate::guard::checkpoint;
 use crate::value::Value;
 
 /// The first violating quadruple a structure check found: rows
@@ -114,7 +120,7 @@ pub fn spot_check_staircase_monge_prefix<T: Value, A: Array2d<T>>(
     seed: u64,
 ) -> Result<(), MongeViolation<T>> {
     let (m, n) = (a.rows(), a.cols());
-    let quads = (0..samples).filter_map(move |s| {
+    let quads = draws(samples, n).filter_map(move |s| {
         if m < 2 || n < 2 {
             return None;
         }
@@ -172,10 +178,11 @@ fn banded_quadruples<'a>(
     };
     match sample {
         None => Box::new((0..m.saturating_sub(1)).flat_map(move |i| {
+            checkpoint();
             let (start, end) = overlap(i).unwrap_or((0, 0));
             (start..end.saturating_sub(1)).map(move |j| (i, j))
         })),
-        Some((samples, seed)) => Box::new((0..samples).filter_map(move |s| {
+        Some((samples, seed)) => Box::new(draws(samples, n).filter_map(move |s| {
             if m < 2 {
                 return None;
             }
@@ -190,7 +197,10 @@ fn banded_quadruples<'a>(
 
 fn all_quadruples<T: Value, A: Array2d<T>>(a: &A) -> impl Iterator<Item = (usize, usize)> {
     let (m, n) = (a.rows(), a.cols());
-    (0..m.saturating_sub(1)).flat_map(move |i| (0..n.saturating_sub(1)).map(move |j| (i, j)))
+    (0..m.saturating_sub(1)).flat_map(move |i| {
+        checkpoint();
+        (0..n.saturating_sub(1)).map(move |j| (i, j))
+    })
 }
 
 fn prefix_quadruples(
@@ -199,8 +209,20 @@ fn prefix_quadruples(
     boundary: &[usize],
 ) -> impl Iterator<Item = (usize, usize)> + '_ {
     (0..m.saturating_sub(1)).flat_map(move |i| {
+        checkpoint();
         let width = boundary.get(i + 1).copied().unwrap_or(0).min(n);
         (0..width.saturating_sub(1)).map(move |j| (i, j))
+    })
+}
+
+/// Draw indices `0..samples`, with a [`checkpoint`] before every
+/// `n - 1` of them: a row of quadruples' worth.
+fn draws(samples: usize, n: usize) -> impl Iterator<Item = usize> {
+    let row = n.saturating_sub(1).max(1);
+    (0..samples).inspect(move |s| {
+        if s % row == 0 {
+            checkpoint();
+        }
     })
 }
 
@@ -210,7 +232,7 @@ fn sampled_quadruples(
     samples: usize,
     seed: u64,
 ) -> impl Iterator<Item = (usize, usize)> {
-    (0..samples).filter_map(move |s| {
+    draws(samples, n).filter_map(move |s| {
         if m < 2 || n < 2 {
             return None;
         }

@@ -553,37 +553,31 @@ pub struct MachineCounters {
 }
 
 /// Where a dispatched solve's backend/tuning decision came from — the
-/// observable end of the precedence chain *per-call > `MONGE_*` env >
-/// autotune cache > calibrate probe > defaults*. Stamped into
-/// [`Telemetry::provenance`] by the dispatch layer so benches and tests
-/// can assert which selection path actually ran (e.g. the CI autotune
-/// leg requires a warm second run to report only [`Cached`]).
-///
-/// [`Cached`]: TuningProvenance::Cached
+/// observable end of the ladder *per-call > autotune > env-seeded
+/// defaults*. Stamped into [`Telemetry::provenance`] by the dispatch
+/// layer so benches and tests can assert which selection path actually
+/// ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TuningProvenance {
-    /// A persisted (or already-measured) autotune winner was looked up.
+    /// An already-measured autotune winner was looked up.
     Cached,
     /// The autotuner measured the candidate set on this very call and
     /// the winner was applied (and cached for the next caller).
     Measured,
-    /// The one-shot calibration probe sized the grains (autotune off,
-    /// in `readonly` mode with a cold key, or waiting out another
-    /// thread's in-flight measurement).
-    Probed,
-    /// No measurement informed the decision: built-in defaults, a
-    /// `MONGE_*` environment overlay, or an explicit per-call tuning.
+    /// No measurement informed the decision: an explicit per-call
+    /// tuning, or the env-seeded defaults on the grain-policy backend
+    /// (autotune off, or waiting out another thread's in-flight
+    /// measurement).
     Default,
 }
 
 impl TuningProvenance {
-    /// The lowercase label (`cached` / `measured` / `probed` /
-    /// `default`) the bench JSON rows carry.
+    /// The lowercase label (`cached` / `measured` / `default`) the bench
+    /// JSON rows carry.
     pub fn as_str(self) -> &'static str {
         match self {
             TuningProvenance::Cached => "cached",
             TuningProvenance::Measured => "measured",
-            TuningProvenance::Probed => "probed",
             TuningProvenance::Default => "default",
         }
     }
@@ -636,10 +630,6 @@ pub struct Telemetry {
     /// Fallback-chain links skipped because their circuit breaker was
     /// open ([`crate::guard::BreakerState::Open`]).
     pub breaker_skips: u64,
-    /// Per-backend health at the end of the solve, stamped by the
-    /// resilient serving layer (`monge-parallel::health`). `None` for
-    /// solves that ran below it.
-    pub health_snapshot: Option<Vec<crate::guard::BackendHealthSnapshot>>,
     /// Submatrix query indexes built ([`crate::queryindex::QueryIndex`]),
     /// stamped by the dispatcher's index-build path and the service
     /// layer's per-tenant handle cache.
@@ -687,11 +677,7 @@ impl Telemetry {
     /// differing backends collapse to [`MERGED_BACKEND`], differing
     /// kinds to `None`. Guard outcomes are not merged — a rollup has no
     /// single fallback path — so `guard` keeps `self`'s value; the
-    /// resilience counters (`retries`, `breaker_skips`) are additive,
-    /// while `health_snapshot` — a point-in-time view, meaningless to
-    /// sum — takes the *latest* part's snapshot (`other`'s when it has
-    /// one), matching how a service rollup should report current
-    /// health.
+    /// resilience counters (`retries`, `breaker_skips`) are additive.
     pub fn accumulate(&mut self, other: &Telemetry) {
         // A fresh rollup (default-constructed, backend still "") adopts
         // the first part's identity outright; afterwards identity fields
@@ -716,9 +702,6 @@ impl Telemetry {
         self.comparisons = self.comparisons.saturating_add(other.comparisons);
         self.retries = self.retries.saturating_add(other.retries);
         self.breaker_skips = self.breaker_skips.saturating_add(other.breaker_skips);
-        if other.health_snapshot.is_some() {
-            self.health_snapshot.clone_from(&other.health_snapshot);
-        }
         self.tasks = self.tasks.saturating_add(other.tasks);
         self.arena_checkouts = self.arena_checkouts.saturating_add(other.arena_checkouts);
         self.index_builds = self.index_builds.saturating_add(other.index_builds);
@@ -1077,44 +1060,28 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_resilience_counters_and_keeps_latest_snapshot() {
-        use crate::guard::{BackendHealthSnapshot, BreakerState};
-        let snap = |state: BreakerState, fails: u32| {
-            vec![BackendHealthSnapshot {
-                backend: "rayon",
-                state,
-                window_failures: fails,
-                window_len: 8,
-                latency_ewma_nanos: 1000,
-            }]
-        };
+    fn merge_sums_resilience_counters() {
         let a = Telemetry {
             backend: "x",
             retries: 2,
             breaker_skips: 1,
-            health_snapshot: Some(snap(BreakerState::Open, 5)),
             ..Telemetry::default()
         };
         let b = Telemetry {
             backend: "x",
             retries: 3,
             breaker_skips: 0,
-            health_snapshot: Some(snap(BreakerState::HalfOpen, 5)),
             ..Telemetry::default()
         };
         let c = Telemetry {
             backend: "x",
             retries: 0,
             breaker_skips: 4,
-            health_snapshot: None,
             ..Telemetry::default()
         };
         let m = Telemetry::merge([&a, &b, &c]);
         assert_eq!(m.retries, 5, "retries are additive");
         assert_eq!(m.breaker_skips, 5, "breaker skips are additive");
-        // The snapshot is a point-in-time view: the latest part that
-        // carried one wins; a later part with none does not erase it.
-        assert_eq!(m.health_snapshot, Some(snap(BreakerState::HalfOpen, 5)));
         // Saturation, like every additive counter.
         let hot = Telemetry {
             backend: "x",

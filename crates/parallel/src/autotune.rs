@@ -1,14 +1,11 @@
-//! The persistent autotuner: measured backend & tuning selection,
-//! cached across runs.
+//! The autotuner: measured backend & tuning selection, one in-memory
+//! table per [`Dispatcher`].
 //!
 //! The paper offers a *menu* of algorithms per problem shape, and the
 //! workspace grew a matching menu of execution choices: host backend
 //! (sequential SMAWK vs the rayon engines), grain cutoffs, and the
-//! scalar-vs-SIMD kernel pin. [`crate::runtime::calibrate`] sizes the
-//! grains from a one-shot per-entry-cost probe, but that probe is
-//! re-paid every process, guesses rather than measures the *backend*
-//! choice, and never learns. This module replaces guessing with
-//! measurement, kubecl-style:
+//! scalar-vs-SIMD kernel pin. The grain policy picks among them from
+//! the problem's shape alone; this module measures instead:
 //!
 //! * an [`AutotuneKey`] — `(ProblemKind, structure class, element
 //!   type, size-class bucket, kernel availability)` — identifies the
@@ -17,46 +14,34 @@
 //!   (host backend × tuning × kernel pin) is micro-benchmarked on a
 //!   subsampled probe of the real problem, and the fastest candidate
 //!   becomes the key's [`Winner`];
-//! * a process-global table caches winners with **single-flight**
-//!   measurement: concurrent solves on the same cold key never measure
-//!   twice — exactly one thread claims the measurement, everyone else
-//!   falls back to the calibration probe for that call;
-//! * winners persist to a versioned, host-fingerprinted JSON file, so
-//!   the *next* process starts warm. Any mismatch — schema version,
-//!   CPU model, core count, AVX2 probe — or any parse failure silently
-//!   re-measures rather than erroring: the cache is a performance
-//!   hint, never a correctness input.
+//! * the table caches winners with **single-flight** measurement:
+//!   concurrent solves on the same cold key never measure twice —
+//!   exactly one thread claims the measurement, everyone else runs
+//!   that call on the environment-seeded defaults.
 //!
-//! ## Environment
-//!
-//! | variable | values | effect |
-//! |---|---|---|
-//! | `MONGE_AUTOTUNE` | `on` (default) / `readonly` / `off` | `readonly` uses cached winners but never measures or writes; `off` bypasses the table entirely (pure calibrate-probe behavior) |
-//! | `MONGE_AUTOTUNE_DIR` | path | where the table file lives; defaults to `$XDG_CACHE_HOME/monge-autotune` or `$HOME/.cache/monge-autotune`, memory-only when neither resolves |
+//! Every [`Dispatcher`] owns its own table; several dispatchers share
+//! one only when handed the same instance through
+//! [`Dispatcher::with_autotuner`]. Nothing is persisted: a table lives
+//! as long as the dispatchers holding it.
 //!
 //! ## Precedence
 //!
-//! The autotuner slots into the [`crate::tuning`] precedence chain
-//! between the environment and the calibration probe: *per-call >
-//! `MONGE_*` env > autotune cache > calibrate probe > defaults*. A
-//! cached winner's tuning is re-overlaid with the `MONGE_*` variables
-//! on every use ([`Tuning::env_overlay`]), so a deployment-level pin
-//! always beats a measured winner. Which path actually decided a solve
-//! is stamped into [`Telemetry::provenance`](monge_core::problem::Telemetry::provenance)
-//! ([`TuningProvenance::Cached`](monge_core::problem::TuningProvenance::Cached) / `Measured` / `Probed` / `Default`),
-//! so benches and tests can assert the selection path — the CI
-//! autotune leg requires a warm second run to report only `cached`
-//! with zero measurements.
+//! The autotuner is the middle rung of the [`crate::tuning`] ladder:
+//! *per-call > autotune > env-seeded defaults*. Which rung decided a
+//! solve is stamped into
+//! [`Telemetry::provenance`](monge_core::problem::Telemetry::provenance)
+//! ([`TuningProvenance::Cached`](monge_core::problem::TuningProvenance::Cached)
+//! / `Measured` / `Default`), so benches and tests can assert the
+//! selection path.
 //!
 //! Winners affect **speed only**: every candidate backend returns
 //! bitwise-identical solutions (the conformance lab's differential
-//! enforces this), so a stale or mis-measured winner can cost
-//! microseconds, never correctness.
+//! enforces this), so a mis-measured winner can cost microseconds,
+//! never correctness.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use monge_core::array2d::SubArray;
@@ -68,14 +53,6 @@ use crate::dispatch::{Backend, Dispatcher};
 use crate::runtime;
 use crate::tuning::Tuning;
 
-/// Version of the on-disk table schema. Bumped whenever the key or
-/// winner encoding changes; files with any other version are ignored
-/// wholesale (and re-measured).
-pub const SCHEMA_VERSION: u32 = 1;
-
-/// File name of the persisted table inside the autotune directory.
-pub const TABLE_FILE: &str = "monge-autotune.json";
-
 /// Rows (planes for tubes) of the subsampled measurement probe. Large
 /// enough that grain and kernel effects show, small enough that a cold
 /// key costs milliseconds, not the full solve.
@@ -86,37 +63,14 @@ pub const PROBE_ROWS: usize = 192;
 /// running them is never faster than running the host engines.
 const HOST_CANDIDATES: [&str; 2] = ["sequential", "rayon"];
 
-/// What the autotuner is allowed to do, from `MONGE_AUTOTUNE`.
+/// What the autotuner is allowed to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum AutotuneMode {
-    /// Look up, measure on miss, persist winners (the default).
+    /// Look up, and measure on a miss (the default).
     #[default]
     On,
-    /// Use cached winners but never measure and never write.
-    ReadOnly,
     /// Bypass the table entirely.
     Off,
-}
-
-impl AutotuneMode {
-    /// Parses `on` / `readonly` / `off` (ASCII case-insensitive).
-    pub fn parse(s: &str) -> Option<AutotuneMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "on" => Some(AutotuneMode::On),
-            "readonly" => Some(AutotuneMode::ReadOnly),
-            "off" => Some(AutotuneMode::Off),
-            _ => None,
-        }
-    }
-
-    /// The `MONGE_AUTOTUNE` selection; [`AutotuneMode::On`] when unset
-    /// or unparsable.
-    pub fn from_env() -> AutotuneMode {
-        std::env::var("MONGE_AUTOTUNE")
-            .ok()
-            .and_then(|s| AutotuneMode::parse(&s))
-            .unwrap_or_default()
-    }
 }
 
 /// The family of problems one measured decision is valid for.
@@ -125,58 +79,45 @@ impl AutotuneMode {
 /// size class (members of one class are within 2× in search area, so
 /// one winner fits all), and the element type is keyed by its short
 /// name so `i64` and `f64` — which have different kernel bodies and
-/// different per-entry costs — never share a winner.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// different per-entry costs — never share a winner. The batch layer
+/// groups its members by this key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct AutotuneKey {
     /// The problem kind.
     pub kind: ProblemKind,
-    /// Structure class: 0 = plain, 1 = Monge, 2 = inverse-Monge.
+    /// Structure class: 0 = plain, 1 = Monge, 2 = inverse-Monge
+    /// (banded and tube problems are Monge by construction).
     pub structure: u8,
     /// Short element type name (`"i64"`, `"f64"`).
-    pub elem: String,
-    /// `floor(log2(search area)) + 1` — same bucketing as the batch
-    /// layer's grouping key.
+    pub elem: &'static str,
+    /// `floor(log2(search area)) + 1`.
     pub size_class: u32,
     /// Were the SIMD lane kernels available (compiled in *and*
-    /// supported by this host) when the key was formed? A feature-flag
-    /// or host change flips this, keying separate winners.
+    /// supported by this host) when the key was formed?
     pub simd: bool,
-}
-
-/// Structure class discriminant shared with the batch grouping key
-/// (banded/tube problems are Monge by construction).
-pub(crate) fn structure_code<T: Value>(p: &Problem<'_, T>) -> u8 {
-    match p {
-        Problem::Rows { structure, .. } | Problem::Staircase { structure, .. } => match structure {
-            Structure::Plain => 0,
-            Structure::Monge => 1,
-            Structure::InverseMonge => 2,
-        },
-        Problem::Banded { .. } | Problem::Tube { .. } => 1,
-    }
-}
-
-/// Power-of-two search-area bucket shared with the batch grouping key.
-pub(crate) fn size_class<T: Value>(p: &Problem<'_, T>) -> u32 {
-    let (m, n) = p.search_shape();
-    let area = (m as u128 * n as u128).max(1);
-    128 - area.leading_zeros()
-}
-
-/// The short (path-stripped) name of `T`, the table's element-type key.
-fn elem_name<T: Value>() -> String {
-    let full = std::any::type_name::<T>();
-    full.rsplit("::").next().unwrap_or(full).to_string()
 }
 
 impl AutotuneKey {
     /// The key of a problem instance on this host/build.
     pub fn of<T: Value>(p: &Problem<'_, T>) -> AutotuneKey {
+        let structure = match p {
+            Problem::Rows { structure, .. } | Problem::Staircase { structure, .. } => {
+                match structure {
+                    Structure::Plain => 0,
+                    Structure::Monge => 1,
+                    Structure::InverseMonge => 2,
+                }
+            }
+            Problem::Banded { .. } | Problem::Tube { .. } => 1,
+        };
+        let (m, n) = p.search_shape();
+        let area = (m as u128 * n as u128).max(1);
+        let full = std::any::type_name::<T>();
         AutotuneKey {
             kind: p.kind(),
-            structure: structure_code(p),
-            elem: elem_name::<T>(),
-            size_class: size_class(p),
+            structure,
+            elem: full.rsplit("::").next().unwrap_or(full),
+            size_class: 128 - area.leading_zeros(),
             simd: kernel::simd_compiled() && kernel::simd_available(),
         }
     }
@@ -186,9 +127,8 @@ impl AutotuneKey {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Winner {
     /// Registry name of the fastest candidate backend.
-    pub backend: String,
-    /// The tuning (grains + kernel pin) it won with. Re-overlaid with
-    /// the `MONGE_*` environment at use time, preserving precedence.
+    pub backend: &'static str,
+    /// The tuning (grains + kernel pin) it won with.
     pub tuning: Tuning,
 }
 
@@ -207,9 +147,8 @@ pub enum Claim<'a> {
     /// measure, then [`MeasureToken::fulfill`]. Dropping the token
     /// without fulfilling clears the claim so the key can be retried.
     Measure(MeasureToken<'a>),
-    /// The autotuner has nothing for this call — it is off, the key is
-    /// being measured by another thread, or the mode is read-only with
-    /// a cold key. Fall back to the calibration probe.
+    /// The autotuner has nothing for this call — it is off, or the key
+    /// is being measured by another thread. Run on the defaults.
     Pass,
 }
 
@@ -221,10 +160,11 @@ pub struct MeasureToken<'a> {
 }
 
 impl MeasureToken<'_> {
-    /// Installs the measured winner (and persists the table in
-    /// [`AutotuneMode::On`]).
+    /// Installs the measured winner.
     pub fn fulfill(mut self, winner: Winner) {
-        self.tuner.install(self.key.clone(), winner);
+        self.tuner
+            .lock_table()
+            .insert(self.key, Slot::Ready(winner));
         self.done = true;
     }
 }
@@ -242,57 +182,23 @@ impl Drop for MeasureToken<'_> {
     }
 }
 
-/// The winner table: mode, optional persistence directory, cached
-/// winners, and the measurement tally the tests and the CI warm-cache
-/// assertion read.
+/// The winner table: mode, cached winners, and the measurement tally
+/// the tests and benches read.
 ///
-/// Most code uses the process-global instance implicitly through
-/// [`Dispatcher::solve_calibrated`] / batch grouping; tests construct
-/// isolated instances ([`Autotuner::in_memory`], [`Autotuner::with_dir`])
-/// and attach them via [`Dispatcher::with_autotuner`].
+/// Each [`Dispatcher`] creates its own; attach a shared or disabled
+/// instance with [`Dispatcher::with_autotuner`].
 pub struct Autotuner {
     mode: AutotuneMode,
-    dir: Option<PathBuf>,
     table: Mutex<HashMap<AutotuneKey, Slot>>,
     measurements: AtomicU64,
 }
 
 impl Autotuner {
-    /// An autotuner configured from the environment (`MONGE_AUTOTUNE`,
-    /// `MONGE_AUTOTUNE_DIR`), loading any valid persisted table.
-    pub fn from_env() -> Autotuner {
-        match default_dir() {
-            Some(dir) => Autotuner::with_dir(AutotuneMode::from_env(), dir),
-            None => Autotuner::in_memory(AutotuneMode::from_env()),
-        }
-    }
-
-    /// A memory-only autotuner (no persistence).
+    /// An empty table in `mode`.
     pub fn in_memory(mode: AutotuneMode) -> Autotuner {
         Autotuner {
             mode,
-            dir: None,
             table: Mutex::new(HashMap::new()),
-            measurements: AtomicU64::new(0),
-        }
-    }
-
-    /// An autotuner persisting under `dir`, seeded with whatever valid
-    /// entries the directory's table file holds. A missing, corrupt,
-    /// differently-versioned or differently-fingerprinted file seeds
-    /// nothing — silently.
-    pub fn with_dir(mode: AutotuneMode, dir: impl Into<PathBuf>) -> Autotuner {
-        let dir = dir.into();
-        let seeded = read_table(&dir.join(TABLE_FILE), &host_fingerprint()).unwrap_or_default();
-        Autotuner {
-            mode,
-            dir: Some(dir),
-            table: Mutex::new(
-                seeded
-                    .into_iter()
-                    .map(|(k, w)| (k, Slot::Ready(w)))
-                    .collect(),
-            ),
             measurements: AtomicU64::new(0),
         }
     }
@@ -303,13 +209,8 @@ impl Autotuner {
         Autotuner::in_memory(AutotuneMode::Off)
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> AutotuneMode {
-        self.mode
-    }
-
     /// How many measurements this instance has *claimed* (the test
-    /// hook behind the single-flight and warm-cache assertions).
+    /// hook behind the single-flight assertions).
     pub fn measurements(&self) -> u64 {
         self.measurements.load(Ordering::Relaxed)
     }
@@ -319,7 +220,7 @@ impl Autotuner {
         self.lock_table()
             .iter()
             .filter_map(|(k, s)| match s {
-                Slot::Ready(w) => Some((k.clone(), w.clone())),
+                Slot::Ready(w) => Some((*k, w.clone())),
                 Slot::Measuring => None,
             })
             .collect()
@@ -334,7 +235,7 @@ impl Autotuner {
     }
 
     /// Looks up `key`, claiming the single-flight measurement when the
-    /// key is cold and the mode allows measuring.
+    /// key is cold.
     pub fn begin(&self, key: AutotuneKey) -> Claim<'_> {
         if self.mode == AutotuneMode::Off {
             return Claim::Pass;
@@ -344,10 +245,7 @@ impl Autotuner {
             Some(Slot::Ready(w)) => Claim::Hit(w.clone()),
             Some(Slot::Measuring) => Claim::Pass,
             None => {
-                if self.mode == AutotuneMode::ReadOnly {
-                    return Claim::Pass;
-                }
-                table.insert(key.clone(), Slot::Measuring);
+                table.insert(key, Slot::Measuring);
                 self.measurements.fetch_add(1, Ordering::Relaxed);
                 Claim::Measure(MeasureToken {
                     tuner: self,
@@ -363,64 +261,15 @@ impl Autotuner {
         // mutation is a single insert/remove); keep serving.
         self.table.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    fn install(&self, key: AutotuneKey, winner: Winner) {
-        let mut table = self.lock_table();
-        table.insert(key, Slot::Ready(winner));
-        if self.mode == AutotuneMode::On {
-            if let Some(dir) = &self.dir {
-                let entries: Vec<(AutotuneKey, Winner)> = table
-                    .iter()
-                    .filter_map(|(k, s)| match s {
-                        Slot::Ready(w) => Some((k.clone(), w.clone())),
-                        Slot::Measuring => None,
-                    })
-                    .collect();
-                // Best-effort: an unwritable directory degrades to
-                // memory-only caching, never to an error.
-                let _ = write_table(dir, &host_fingerprint(), &entries);
-            }
-        }
-    }
-}
-
-/// The process-global autotuner behind [`Dispatcher::solve_calibrated`]
-/// and batch group tuning, configured from the environment on first
-/// use.
-pub fn global() -> &'static Autotuner {
-    static GLOBAL: OnceLock<Autotuner> = OnceLock::new();
-    GLOBAL.get_or_init(Autotuner::from_env)
-}
-
-/// `MONGE_AUTOTUNE_DIR`, else the user cache directory, else `None`
-/// (memory-only — the autotuner never invents a writable path).
-fn default_dir() -> Option<PathBuf> {
-    if let Ok(d) = std::env::var("MONGE_AUTOTUNE_DIR") {
-        if !d.trim().is_empty() {
-            return Some(PathBuf::from(d));
-        }
-    }
-    if let Ok(x) = std::env::var("XDG_CACHE_HOME") {
-        if !x.trim().is_empty() {
-            return Some(Path::new(&x).join("monge-autotune"));
-        }
-    }
-    if let Ok(h) = std::env::var("HOME") {
-        if !h.trim().is_empty() {
-            return Some(Path::new(&h).join(".cache").join("monge-autotune"));
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------
 // Host fingerprint
 // ---------------------------------------------------------------------
 
-/// The host identity a persisted table is valid for: CPU model, core
-/// count, AVX2 probe, joined into one comparable string. Any component
-/// changing (new machine, different container CPU allotment, feature
-/// flags flipping the vector bodies) invalidates the whole file.
+/// The host identity a measured table is valid for: CPU model, core
+/// count, AVX2 probe and the `simd` build leg, joined into one
+/// comparable string. Benches record it beside their numbers.
 pub fn host_fingerprint() -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -463,148 +312,6 @@ fn cpu_model() -> String {
 }
 
 // ---------------------------------------------------------------------
-// Persistence (hand-rolled line-oriented JSON, like bench-results/)
-// ---------------------------------------------------------------------
-
-fn kind_str(k: ProblemKind) -> String {
-    format!("{k:?}")
-}
-
-fn parse_kind(s: &str) -> Option<ProblemKind> {
-    ProblemKind::ALL.into_iter().find(|k| kind_str(*k) == s)
-}
-
-fn kernel_str(k: Kernel) -> &'static str {
-    match k {
-        Kernel::Auto => "auto",
-        Kernel::Scalar => "scalar",
-        Kernel::Simd => "simd",
-    }
-}
-
-/// `"key": value` extractor for the flat one-record-per-line encoding
-/// (same dialect as `bench-results/`; the bench crate's copy is not
-/// visible from here).
-fn field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
-/// Renders the table file: a schema/host header and one entry per line.
-fn render_table(fingerprint: &str, entries: &[(AutotuneKey, Winner)]) -> String {
-    let mut lines: Vec<String> = entries
-        .iter()
-        .map(|(k, w)| {
-            let t = &w.tuning;
-            format!(
-                "    {{\"kind\": \"{}\", \"structure\": {}, \"elem\": \"{}\", \"size_class\": {}, \"simd\": {}, \"backend\": \"{}\", \"seq_scan\": {}, \"seq_rows\": {}, \"tube_seq_planes\": {}, \"pram_base_rows\": {}, \"kernel\": \"{}\"}}",
-                kind_str(k.kind),
-                k.structure,
-                k.elem,
-                k.size_class,
-                u8::from(k.simd),
-                w.backend,
-                t.seq_scan,
-                t.seq_rows,
-                t.tube_seq_planes,
-                t.pram_base_rows,
-                kernel_str(t.kernel),
-            )
-        })
-        .collect();
-    lines.sort(); // deterministic file for identical tables
-    format!(
-        "{{\n  \"schema\": {SCHEMA_VERSION},\n  \"host\": \"{fingerprint}\",\n  \"entries\": [\n{}\n  ]\n}}\n",
-        lines.join(",\n")
-    )
-}
-
-/// Parses a table file. `None` on *any* irregularity — missing file,
-/// unreadable bytes, wrong schema, wrong host fingerprint, or a single
-/// malformed entry — because a winner table is only a hint and a
-/// partial one is not worth trusting.
-fn read_table(path: &Path, fingerprint: &str) -> Option<Vec<(AutotuneKey, Winner)>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut schema: Option<u32> = None;
-    let mut host: Option<String> = None;
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if trimmed.contains("\"kind\":") {
-            entries.push(parse_entry(trimmed)?);
-        } else if trimmed.starts_with("\"schema\":") {
-            let v = trimmed
-                .trim_start_matches("\"schema\":")
-                .trim()
-                .trim_end_matches(',');
-            schema = Some(v.parse().ok()?);
-        } else if trimmed.starts_with("\"host\":") {
-            let v = trimmed
-                .trim_start_matches("\"host\":")
-                .trim()
-                .trim_end_matches(',')
-                .trim_matches('"');
-            host = Some(v.to_string());
-        }
-    }
-    if schema != Some(SCHEMA_VERSION) || host.as_deref() != Some(fingerprint) {
-        return None;
-    }
-    Some(entries)
-}
-
-fn parse_entry(line: &str) -> Option<(AutotuneKey, Winner)> {
-    let num = |k: &str| -> Option<usize> { field(line, k)?.parse().ok() };
-    let key = AutotuneKey {
-        kind: parse_kind(&field(line, "kind")?)?,
-        structure: field(line, "structure")?.parse().ok()?,
-        elem: field(line, "elem")?,
-        size_class: field(line, "size_class")?.parse().ok()?,
-        simd: match field(line, "simd")?.as_str() {
-            "1" | "true" => true,
-            "0" | "false" => false,
-            _ => return None,
-        },
-    };
-    // Zero cutoffs would recurse forever; reject them at parse time the
-    // same way the env overlay does.
-    let positive = |v: usize| if v > 0 { Some(v) } else { None };
-    let tuning = Tuning {
-        seq_scan: positive(num("seq_scan")?)?,
-        seq_rows: positive(num("seq_rows")?)?,
-        tube_seq_planes: positive(num("tube_seq_planes")?)?,
-        pram_base_rows: positive(num("pram_base_rows")?)?,
-        kernel: Kernel::parse(&field(line, "kernel")?)?,
-    };
-    let backend = field(line, "backend")?;
-    if backend.is_empty() {
-        return None;
-    }
-    Some((key, Winner { backend, tuning }))
-}
-
-/// Writes the table under `dir` (creating it), via a temp file + rename
-/// so concurrent processes never observe a torn file. All failures are
-/// reported, not panicked, and callers ignore them.
-fn write_table(
-    dir: &Path,
-    fingerprint: &str,
-    entries: &[(AutotuneKey, Winner)],
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(".{}.tmp-{}", TABLE_FILE, std::process::id()));
-    std::fs::write(&tmp, render_table(fingerprint, entries))?;
-    let result = std::fs::rename(&tmp, dir.join(TABLE_FILE));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-// ---------------------------------------------------------------------
 // Measurement
 // ---------------------------------------------------------------------
 
@@ -612,6 +319,11 @@ fn write_table(
 /// `problem` and returns the fastest `(backend, tuning)` — or `None`
 /// when no host candidate is eligible (which real problems never hit:
 /// the sequential backend admits everything).
+///
+/// Candidates are each eligible host backend crossed with the grains
+/// [`runtime::calibrate`] sizes for the probe and the env-seeded
+/// defaults, each under both kernel pins when the SIMD kernels are
+/// available.
 ///
 /// The probe is the problem itself when it has at most [`PROBE_ROWS`]
 /// rows (planes for tubes), else a prefix window of the real arrays —
@@ -680,7 +392,7 @@ pub(crate) fn measure<T: Value>(d: &Dispatcher<T>, problem: &Problem<'_, T>) -> 
             }
         }
         best.map(|(_, ci)| Winner {
-            backend: candidates[ci].0.name().to_string(),
+            backend: candidates[ci].0.name(),
             tuning: candidates[ci].1,
         })
     })
@@ -811,18 +523,18 @@ mod tests {
         let tuner = Autotuner::in_memory(AutotuneMode::On);
         let a = dense(16, 16);
         let key = AutotuneKey::of(&Problem::row_minima(&a));
-        let Claim::Measure(token) = tuner.begin(key.clone()) else {
+        let Claim::Measure(token) = tuner.begin(key) else {
             panic!("cold key must yield the measurement claim");
         };
         // A second caller on the in-flight key passes, never measures.
-        assert!(matches!(tuner.begin(key.clone()), Claim::Pass));
+        assert!(matches!(tuner.begin(key), Claim::Pass));
         assert_eq!(tuner.measurements(), 1);
         let winner = Winner {
-            backend: "sequential".to_string(),
+            backend: "sequential",
             tuning: Tuning::DEFAULT,
         };
         token.fulfill(winner.clone());
-        match tuner.begin(key.clone()) {
+        match tuner.begin(key) {
             Claim::Hit(w) => assert_eq!(w, winner),
             _ => panic!("fulfilled key must hit"),
         }
@@ -836,7 +548,7 @@ mod tests {
         let a = dense(16, 16);
         let key = AutotuneKey::of(&Problem::row_minima(&a));
         {
-            let Claim::Measure(_token) = tuner.begin(key.clone()) else {
+            let Claim::Measure(_token) = tuner.begin(key) else {
                 panic!("cold key must yield the claim");
             };
             // _token dropped here without fulfilling.
@@ -849,46 +561,14 @@ mod tests {
     }
 
     #[test]
-    fn readonly_never_measures_and_off_always_passes() {
+    fn off_always_passes() {
         let a = dense(16, 16);
-        let key = AutotuneKey::of(&Problem::row_minima(&a));
-        let ro = Autotuner::in_memory(AutotuneMode::ReadOnly);
-        assert!(matches!(ro.begin(key.clone()), Claim::Pass));
-        assert_eq!(ro.measurements(), 0);
         let off = Autotuner::off();
-        assert!(matches!(off.begin(key), Claim::Pass));
+        assert!(matches!(
+            off.begin(AutotuneKey::of(&Problem::row_minima(&a))),
+            Claim::Pass
+        ));
         assert_eq!(off.measurements(), 0);
-    }
-
-    #[test]
-    fn table_roundtrips_through_the_file_encoding() {
-        let key = AutotuneKey {
-            kind: ProblemKind::StaircaseRowMinima,
-            structure: 1,
-            elem: "i64".to_string(),
-            size_class: 17,
-            simd: true,
-        };
-        let winner = Winner {
-            backend: "rayon".to_string(),
-            tuning: Tuning {
-                seq_scan: 512,
-                seq_rows: 32,
-                tube_seq_planes: 4,
-                pram_base_rows: 4,
-                kernel: Kernel::Scalar,
-            },
-        };
-        let fp = host_fingerprint();
-        let rendered = render_table(&fp, &[(key.clone(), winner.clone())]);
-        let dir = std::env::temp_dir().join(format!("monge-autotune-rt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(TABLE_FILE), &rendered).unwrap();
-        let loaded = read_table(&dir.join(TABLE_FILE), &fp).expect("valid table must load");
-        assert_eq!(loaded, vec![(key, winner)]);
-        // Wrong fingerprint: the same bytes load as nothing.
-        assert!(read_table(&dir.join(TABLE_FILE), "cpu=other; cores=1").is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -898,7 +578,7 @@ mod tests {
         let p = Problem::row_minima(&a);
         let before = kernel::selected();
         let w = measure(&d, &p).expect("host candidates are always eligible");
-        assert!(HOST_CANDIDATES.contains(&w.backend.as_str()));
+        assert!(HOST_CANDIDATES.contains(&w.backend));
         assert_eq!(
             kernel::selected(),
             before,

@@ -2,24 +2,24 @@
 //! streams ([`Dispatcher::solve_batch`]) and a [`SolverService`] front
 //! door with per-tenant telemetry rollups.
 //!
-//! A one-at-a-time serving loop pays per request for the decisions the
-//! dispatch stack makes once per solve: grain calibration (hundreds of
-//! microseconds of timed probe scans), backend selection and tuning
-//! resolution. This module makes them once per group of alike problems
-//! and runs every member through the same guarded attempt primitive as
+//! This module makes the dispatch stack's backend and tuning decision
+//! once per group of alike problems, measured by the autotuner
+//! ([`crate::autotune`]) instead of guessed from the shape, and runs
+//! every member through the same guarded attempt primitive as
 //! `solve_guarded`:
 //!
 //! 1. **Admission.** Every problem is precondition-checked and its
 //!    structural promise validated exactly once (the same
-//!    [`GuardPolicy`] semantics as `solve_guarded`): violations fail or
-//!    quarantine the individual problem, never the batch.
-//! 2. **Grouping.** Admitted problems are grouped by
-//!    `(ProblemKind, structure, size-class)` — the same coordinates as
-//!    the persistent autotuner's key ([`crate::autotune`]), so one
-//!    table lookup (or one single-flight measurement, keyed by the
-//!    group's costliest member) decides the backend and the [`Tuning`]
-//!    for every member; the decision's provenance is stamped into each
-//!    member's [`Telemetry`].
+//!    [`GuardPolicy`] semantics as `solve_guarded`), under the batch
+//!    deadline: violations fail or quarantine the individual problem,
+//!    never the batch.
+//! 2. **Grouping.** Admitted problems are grouped by their
+//!    [`AutotuneKey`] (kind, structure, element type, size class, lane
+//!    kernels), so one lookup in the dispatcher's autotune table (or
+//!    one single-flight measurement, on the group's costliest member)
+//!    decides the backend and the [`Tuning`] for every member; the
+//!    decision's provenance is stamped into each member's
+//!    [`Telemetry`].
 //! 3. **Admission control.** A per-batch deadline is carved into
 //!    per-group slices proportional to estimated cost. Each member walks
 //!    the guarded fallback chain from its group's backend, without
@@ -42,7 +42,7 @@
 //! use monge_core::array2d::Dense;
 //! use monge_core::problem::Problem;
 //! use monge_parallel::batch::BatchPolicy;
-//! use monge_parallel::{AutotuneMode, Autotuner, Dispatcher};
+//! use monge_parallel::Dispatcher;
 //!
 //! let a = Dense::tabulate(64, 64, |i, j| {
 //!     let d = i as i64 - j as i64;
@@ -50,9 +50,7 @@
 //! });
 //! let b = Dense::tabulate(16, 48, |i, j| (i as i64 - j as i64).abs());
 //! let batch = [Problem::row_minima(&a), Problem::row_minima(&b)];
-//! // An in-memory autotuner keeps winners out of the user's cache.
-//! let tuner = Autotuner::in_memory(AutotuneMode::On);
-//! let d = Dispatcher::with_default_backends().with_autotuner(tuner.into());
+//! let d = Dispatcher::with_default_backends();
 //! let results = d.solve_batch(&batch, BatchPolicy::default());
 //! assert_eq!(results.len(), 2);
 //! assert!(results.iter().all(|r| r.is_ok()));
@@ -63,54 +61,40 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use monge_core::guard::{CancelToken, GuardPolicy, SolveError};
-use monge_core::problem::{Problem, ProblemKind, Solution, Structure, Telemetry, TuningProvenance};
+use monge_core::problem::{Problem, Solution, Structure, Telemetry, TuningProvenance};
 use monge_core::queryindex::QueryIndex;
 use monge_core::value::Value;
 
+use crate::autotune::AutotuneKey;
 use crate::dispatch::{AutotuneDecision, Dispatcher};
 use crate::tuning::Tuning;
 
 /// How a batch executes: guard semantics per problem, a wall-clock
 /// budget for the whole batch, and how each group's backend and tuning
 /// are decided.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BatchPolicy {
     /// Per-problem guard semantics: validation mode, violation action,
     /// fallback depth and sampling seed. The policy's own `deadline`
     /// field is ignored — use [`BatchPolicy::deadline`], which is
     /// carved into per-group slices.
     pub guard: GuardPolicy,
-    /// Wall-clock budget for the whole batch, carved into per-group
-    /// slices proportional to estimated cost. A starved group degrades
-    /// to [`SolveError::DeadlineExceeded`] for its own members only.
+    /// Wall-clock budget for the whole batch: admission runs under it,
+    /// and it is carved into per-group slices proportional to
+    /// estimated cost. A starved group degrades to
+    /// [`SolveError::DeadlineExceeded`] for its own members only.
     pub deadline: Option<Duration>,
-    /// Decide each group's backend and tuning through the autotuner,
-    /// once, keyed by the group's most expensive member (default
-    /// `true`). When off, or when [`BatchPolicy::tuning`] is set,
-    /// members run with the environment (or explicit) tuning and start
-    /// at the grain-policy choice.
-    pub calibrate: bool,
-    /// Explicit tuning override: beats the autotuner and the
-    /// environment, matching the per-call precedence of
-    /// [`crate::tuning`].
+    /// Explicit tuning override: members run with it and start at the
+    /// grain-policy choice. `None` (the default) decides each group's
+    /// backend and tuning through the dispatcher's autotuner, once,
+    /// keyed by the group's most expensive member — the per-call rung
+    /// of [`crate::tuning`]'s ladder beating the autotune rung.
     pub tuning: Option<Tuning>,
     /// Load-shedding threshold: groups whose estimated cost (in entry
     /// evaluations) exceeds this skip the group decision, and each
     /// member starts its fallback chain at the grain-policy choice.
     /// `None` (the default) never sheds.
     pub max_group_cost: Option<u64>,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            guard: GuardPolicy::default(),
-            deadline: None,
-            calibrate: true,
-            tuning: None,
-            max_group_cost: None,
-        }
-    }
 }
 
 impl BatchPolicy {
@@ -135,14 +119,6 @@ impl BatchPolicy {
         self
     }
 
-    /// Disables the per-group autotune decision (environment-seeded
-    /// tuning, grain-policy backends).
-    #[must_use]
-    pub fn without_calibration(mut self) -> Self {
-        self.calibrate = false;
-        self
-    }
-
     /// Sets the load-shedding threshold (estimated entry evaluations).
     #[must_use]
     pub fn shed_above(mut self, cost: u64) -> Self {
@@ -159,7 +135,7 @@ pub struct BatchReport<T> {
     /// Per-problem telemetry, in input order (default for problems that
     /// failed preconditions before reaching an engine).
     pub telemetry: Vec<Telemetry>,
-    /// How many `(kind, structure, size-class)` groups the batch formed.
+    /// How many [`AutotuneKey`] groups the batch formed.
     pub groups: usize,
     /// How many groups were shed by [`BatchPolicy::max_group_cost`].
     pub shed_groups: usize,
@@ -169,29 +145,6 @@ impl<T: Value> BatchReport<T> {
     /// Whole-batch telemetry rollup via [`Telemetry::merge`].
     pub fn rollup(&self) -> Telemetry {
         Telemetry::merge(&self.telemetry)
-    }
-}
-
-/// The grouping key: problems sharing it can share one backend
-/// selection and one tuning resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct GroupKey {
-    kind: ProblemKind,
-    /// `Structure` discriminant (banded/tube problems are Monge by
-    /// construction).
-    structure: u8,
-    /// `floor(log2(search area)) + 1` — members of one class are within
-    /// 2× of each other, so one decided tuning fits all.
-    size_class: u32,
-}
-
-fn group_key<T: Value>(p: &Problem<'_, T>) -> GroupKey {
-    // Shares its coordinates with `autotune::AutotuneKey` so one
-    // autotune table entry covers one batch group.
-    GroupKey {
-        kind: p.kind(),
-        structure: crate::autotune::structure_code(p),
-        size_class: crate::autotune::size_class(p),
     }
 }
 
@@ -239,7 +192,7 @@ fn estimated_cost<T: Value>(p: &Problem<'_, T>) -> u128 {
 
 impl<T: Value> Dispatcher<T> {
     /// Solves a batch of heterogeneous problems with amortized dispatch:
-    /// grouped by `(kind, structure, size-class)`, one backend and
+    /// grouped by [`AutotuneKey`], one backend and
     /// tuning decision per group, each member through the guarded
     /// fallback chain from its group's backend, per-group deadline
     /// slices and load shedding. See the [module docs](crate::batch)
@@ -269,19 +222,31 @@ impl<T: Value> Dispatcher<T> {
             (0..n).map(|_| None).collect();
         let mut telemetry: Vec<Telemetry> = (0..n).map(|_| Telemetry::default()).collect();
 
+        // A member, or its admission, ran on a share of the batch
+        // budget; report the budget the caller set.
+        let report_budget = |e: SolveError| match e {
+            SolveError::DeadlineExceeded { .. } => SolveError::DeadlineExceeded {
+                elapsed: start.elapsed(),
+                deadline: policy.deadline.unwrap_or_default(),
+            },
+            e => e,
+        };
+
         // --- Admission: preconditions + exactly one validation per
-        //     request. Admitted problems are grouped in first-appearance
-        //     order; quarantined ones form a brute-force lane. ---
+        //     request, under the batch deadline. Admitted problems are
+        //     grouped in first-appearance order; quarantined ones form a
+        //     brute-force lane. ---
+        let admission = policy.deadline.map(CancelToken::with_deadline);
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut by_key: HashMap<GroupKey, usize> = HashMap::new();
+        let mut by_key: HashMap<AutotuneKey, usize> = HashMap::new();
         let mut quarantined: Vec<usize> = Vec::new();
         for (i, p) in problems.iter().enumerate() {
-            match self.admit(p, &policy.guard) {
+            match self.admit(p, &policy.guard, admission.as_ref()) {
                 Ok(verdict) => {
                     if verdict.quarantined {
                         quarantined.push(i);
                     } else {
-                        let g = *by_key.entry(group_key(p)).or_insert_with(|| {
+                        let g = *by_key.entry(AutotuneKey::of(p)).or_insert_with(|| {
                             groups.push(Vec::new());
                             groups.len() - 1
                         });
@@ -289,7 +254,7 @@ impl<T: Value> Dispatcher<T> {
                     }
                     telemetry[i].guard = Some(verdict);
                 }
-                Err(e) => results[i] = Some(Err(e)),
+                Err(e) => results[i] = Some(Err(report_budget(e))),
             }
         }
 
@@ -327,15 +292,15 @@ impl<T: Value> Dispatcher<T> {
                 .map(|d| CancelToken::with_deadline(d.mul_f64(cost as f64 / total_cost as f64)));
             let shed = !brute_only && policy.max_group_cost.is_some_and(|c| cost > c as u128);
             shed_groups += usize::from(shed);
-            let decision = if brute_only || shed || policy.tuning.is_some() || !policy.calibrate {
+            let decision = if brute_only || shed || policy.tuning.is_some() {
                 AutotuneDecision {
                     tuning: policy.tuning.unwrap_or_else(Tuning::from_env),
                     backend: None,
                     provenance: TuningProvenance::Default,
                 }
             } else {
-                // The group key and the autotune key share their
-                // coordinates, so one table entry covers the group.
+                // Members share the group's key, so one table entry
+                // covers the group.
                 let costliest = members
                     .iter()
                     .copied()
@@ -343,11 +308,9 @@ impl<T: Value> Dispatcher<T> {
                     .expect("lane is not empty");
                 self.autotune_decision(&problems[costliest])
             };
-            let first = decision
-                .backend
-                .as_deref()
-                .and_then(|name| self.find(name))
-                .map(|b| b.name());
+            // A table shared with another registry may name a backend
+            // this one lacks.
+            let first = decision.backend.filter(|&name| self.find(name).is_some());
             for &i in members {
                 let guard = GuardPolicy {
                     deadline: slice.as_ref().and_then(CancelToken::remaining),
@@ -360,15 +323,7 @@ impl<T: Value> Dispatcher<T> {
                             telemetry[i] = tel;
                             Ok(sol)
                         }
-                        // The member ran on its group's slice; report
-                        // the budget the caller set.
-                        Err(SolveError::DeadlineExceeded { .. }) => {
-                            Err(SolveError::DeadlineExceeded {
-                                elapsed: start.elapsed(),
-                                deadline: policy.deadline.unwrap_or_default(),
-                            })
-                        }
-                        Err(e) => Err(e),
+                        Err(e) => Err(report_budget(e)),
                     },
                 );
                 telemetry[i].provenance = Some(decision.provenance);
@@ -451,15 +406,13 @@ impl std::error::Error for SubmitError {}
 /// use monge_core::array2d::Dense;
 /// use monge_core::problem::Problem;
 /// use monge_parallel::batch::{BatchPolicy, SolverService};
-/// use monge_parallel::{AutotuneMode, Autotuner, Dispatcher};
+/// use monge_parallel::Dispatcher;
 ///
 /// let a = Dense::tabulate(32, 32, |i, j| {
 ///     let d = i as i64 - j as i64;
 ///     d * d
 /// });
-/// // An in-memory autotuner keeps winners out of the user's cache.
-/// let tuner = Autotuner::in_memory(AutotuneMode::On);
-/// let d = Dispatcher::with_default_backends().with_autotuner(tuner.into());
+/// let d = Dispatcher::with_default_backends();
 /// let mut svc = SolverService::with_dispatcher(d, BatchPolicy::default());
 /// svc.submit("tenant-a", Problem::row_minima(&a)).unwrap();
 /// svc.submit("tenant-b", Problem::row_maxima(&a)).unwrap();
@@ -735,7 +688,7 @@ mod tests {
         ];
 
         let d = Dispatcher::with_default_backends();
-        let policy = BatchPolicy::default().without_calibration();
+        let policy = BatchPolicy::default().with_tuning(Tuning::from_env());
         let batch = d.solve_batch(&problems, policy);
         for (i, p) in problems.iter().enumerate() {
             let (expected, _) = d
@@ -756,7 +709,7 @@ mod tests {
         let problems = vec![Problem::row_minima(&a); 3];
         let d = Dispatcher::with_default_backends();
         let policy = BatchPolicy::default()
-            .without_calibration()
+            .with_tuning(Tuning::from_env())
             .with_guard(GuardPolicy::full_validation());
         let report = d.solve_batch_report(&problems, &policy);
         assert_eq!(report.groups, 1);
@@ -782,7 +735,7 @@ mod tests {
         let problems = vec![Problem::row_minima(&a); 4];
         let d = Dispatcher::with_default_backends();
         let policy = BatchPolicy::default()
-            .without_calibration()
+            .with_tuning(Tuning::from_env())
             .with_deadline(Duration::ZERO);
         let results = d.solve_batch(&problems, policy);
         for r in results {
@@ -800,7 +753,7 @@ mod tests {
         let d = Dispatcher::with_default_backends();
         let budget = Duration::from_nanos(1);
         let policy = BatchPolicy::default()
-            .without_calibration()
+            .with_tuning(Tuning::from_env())
             .with_deadline(budget);
         for r in d.solve_batch(&problems, policy) {
             match r {
@@ -817,7 +770,9 @@ mod tests {
         let d = Dispatcher::with_default_backends();
         let report = d.solve_batch_report(
             &problems,
-            &BatchPolicy::default().without_calibration().shed_above(1),
+            &BatchPolicy::default()
+                .with_tuning(Tuning::from_env())
+                .shed_above(1),
         );
         assert_eq!(report.shed_groups, 1, "the lone group overflows the cap");
         let (expected, _) = d
@@ -844,7 +799,7 @@ mod tests {
         let problems = vec![Problem::row_minima(&good), Problem::row_minima(&bad)];
         let d = Dispatcher::with_default_backends();
         let policy = BatchPolicy::default()
-            .without_calibration()
+            .with_tuning(Tuning::from_env())
             .with_guard(GuardPolicy::full_validation());
         let report = d.solve_batch_report(&problems, &policy);
         let good_guard = report.telemetry[0].guard.as_ref().unwrap();
@@ -871,7 +826,7 @@ mod tests {
     #[test]
     fn service_rolls_up_telemetry_per_tenant() {
         let a = monge(32, 32, 17);
-        let mut svc = SolverService::new(BatchPolicy::default().without_calibration());
+        let mut svc = SolverService::new(BatchPolicy::default().with_tuning(Tuning::from_env()));
         svc.submit("alpha", Problem::row_minima(&a)).unwrap();
         svc.submit("alpha", Problem::row_maxima(&a)).unwrap();
         svc.submit("beta", Problem::row_minima(&a)).unwrap();
@@ -896,7 +851,7 @@ mod tests {
     #[test]
     fn submit_backpressure_is_typed_and_leaves_the_queue_intact() {
         let a = monge(8, 8, 23);
-        let mut svc = SolverService::new(BatchPolicy::default().without_calibration())
+        let mut svc = SolverService::new(BatchPolicy::default().with_tuning(Tuning::from_env()))
             .with_max_pending(2)
             .with_tenant_quota(1);
         svc.submit("alpha", Problem::row_minima(&a)).unwrap();
@@ -957,7 +912,7 @@ mod tests {
         let bad_boundary = vec![1usize, 5]; // wrong length AND increasing
         let mut svc = SolverService::new(
             BatchPolicy::default()
-                .without_calibration()
+                .with_tuning(Tuning::from_env())
                 .with_guard(GuardPolicy::full_validation()),
         );
         let i0 = svc.submit("alpha", Problem::row_minima(&a)).unwrap();
@@ -988,7 +943,7 @@ mod tests {
         let v = dirty.entry(2, 2);
         dirty.set(2, 2, v + 1_000_000);
         let policy = BatchPolicy::default()
-            .without_calibration()
+            .with_tuning(Tuning::from_env())
             .with_guard(GuardPolicy::full_validation());
         let d = Dispatcher::with_default_backends();
         let (solo, _) = d
@@ -1023,7 +978,7 @@ mod tests {
         let tuner = Arc::new(Autotuner::in_memory(AutotuneMode::On));
         match tuner.begin(AutotuneKey::of(&problems[0])) {
             Claim::Measure(token) => token.fulfill(Winner {
-                backend: "rayon".to_string(),
+                backend: "rayon",
                 tuning: Tuning::DEFAULT,
             }),
             _ => panic!("a fresh table must hand out the claim"),
@@ -1052,11 +1007,55 @@ mod tests {
     }
 
     #[test]
+    fn each_dispatcher_measures_into_its_own_table() {
+        let a = monge(48, 48, 71);
+        let problems = [Problem::row_minima(&a)];
+        let provenance = |d: &Dispatcher<i64>| {
+            d.solve_batch_report(&problems, &BatchPolicy::default())
+                .telemetry[0]
+                .provenance
+        };
+        let first = Dispatcher::with_default_backends();
+        let second = Dispatcher::with_default_backends();
+        assert_eq!(provenance(&first), Some(TuningProvenance::Measured));
+        assert_eq!(provenance(&first), Some(TuningProvenance::Cached));
+        assert_eq!(
+            provenance(&second),
+            Some(TuningProvenance::Measured),
+            "a fresh dispatcher starts with an empty table"
+        );
+    }
+
+    #[test]
+    fn off_autotuner_runs_env_tuning_on_the_grain_backend() {
+        use crate::autotune::Autotuner;
+        let a = monge(48, 48, 73);
+        let problems = vec![Problem::row_minima(&a); 2];
+        let tuner = Arc::new(Autotuner::off());
+        let d = Dispatcher::with_default_backends().with_autotuner(tuner.clone());
+        let (expected, _) = d
+            .solve_guarded_with(&problems[0], &GuardPolicy::default(), Tuning::from_env())
+            .unwrap();
+        for _ in 0..2 {
+            let report = d.solve_batch_report(&problems, &BatchPolicy::default());
+            for (r, tel) in report.results.iter().zip(&report.telemetry) {
+                assert_eq!(r.as_ref().unwrap(), &expected);
+                assert_eq!(tel.provenance, Some(TuningProvenance::Default));
+                assert_eq!(
+                    tel.guard.as_ref().unwrap().fallback_path(),
+                    vec![grain_choice(&d, &problems[0])]
+                );
+            }
+        }
+        assert_eq!(tuner.measurements(), 0);
+    }
+
+    #[test]
     fn service_index_handles_are_cached_and_reusable_across_drains() {
         let a = monge(24, 24, 61);
         let p = Problem::rows(&a, Structure::Monge, Objective::Minimize);
         let mut svc: SolverService<'_, i64> =
-            SolverService::new(BatchPolicy::default().without_calibration());
+            SolverService::new(BatchPolicy::default().with_tuning(Tuning::from_env()));
         let ix = svc.build_index("alpha", "costs", &p).unwrap();
         let tel = svc.tenant_telemetry("alpha").unwrap().clone();
         assert_eq!(tel.index_builds, 1);
@@ -1112,7 +1111,7 @@ mod tests {
         let a = monge(8, 8, 67);
         let p = Problem::rows(&a, Structure::Plain, Objective::Minimize);
         let mut svc: SolverService<'_, i64> =
-            SolverService::new(BatchPolicy::default().without_calibration());
+            SolverService::new(BatchPolicy::default().with_tuning(Tuning::from_env()));
         assert!(matches!(
             svc.build_index("alpha", "plain", &p),
             Err(SolveError::InvalidInput { .. })
@@ -1130,7 +1129,10 @@ mod tests {
             Problem::staircase_row_minima(&a, &bad_boundary),
         ];
         let d = Dispatcher::with_default_backends();
-        let results = d.solve_batch(&problems, BatchPolicy::default().without_calibration());
+        let results = d.solve_batch(
+            &problems,
+            BatchPolicy::default().with_tuning(Tuning::from_env()),
+        );
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(SolveError::InvalidInput { .. })));
     }

@@ -8,7 +8,8 @@
 //! engines, the PRAM simulator under each minimum primitive, the
 //! hypercube simulator), checks each backend's [`Capabilities`] against
 //! the problem kind and its structural requirements, picks an engine by
-//! the size/calibration policy of [`crate::tuning`], and returns the
+//! the grain policy (or the batch layer's autotune winner, see
+//! [`crate::tuning`]), and returns the
 //! [`Solution`] together with a populated [`Telemetry`]: entry
 //! evaluations, comparisons, forked tasks, arena checkouts,
 //! per-phase wall time, and — for the simulators — the machine-model
@@ -41,16 +42,14 @@
 //! [`crate::runtime`]: a problem whose search shape fits inside one
 //! sequential grain (`seq_rows` rows, `seq_scan` columns —
 //! `tube_seq_planes` planes for tubes) runs sequentially; anything
-//! larger goes to rayon. [`Dispatcher::solve_calibrated`] consults the
-//! persistent autotuner first ([`crate::autotune`]): a cached winner
-//! names both the backend and the tuning outright (provenance
+//! larger goes to rayon. The batch layer ([`crate::batch`]) consults
+//! the dispatcher's autotuner ([`crate::autotune`]) first: a cached
+//! winner names both the backend and the tuning outright (provenance
 //! `cached`), a cold key is measured once (`measured`), and when the
-//! autotuner has nothing — disabled, read-only miss, or another thread
-//! mid-measurement — the call falls back to the one-shot calibration
-//! probe (`probed`), which measures the per-entry cost of the
-//! problem's own array so expensive generator entries flip the
-//! grain decision exactly when they should. The chosen path is
-//! stamped into [`Telemetry::provenance`].
+//! table has nothing — disabled, or another thread mid-measurement —
+//! the call runs the env-seeded defaults on the grain-policy backend
+//! (`default`). The chosen path is stamped into
+//! [`Telemetry::provenance`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -701,7 +700,7 @@ impl<T: Value> Backend<T> for HypercubeBackend {
 /// named one, and the provenance to stamp into the telemetry.
 pub(crate) struct AutotuneDecision {
     pub(crate) tuning: Tuning,
-    pub(crate) backend: Option<String>,
+    pub(crate) backend: Option<&'static str>,
     pub(crate) provenance: TuningProvenance,
 }
 
@@ -710,9 +709,9 @@ pub(crate) struct AutotuneDecision {
 /// and wraps every solve with the telemetry bookkeeping.
 pub struct Dispatcher<T: Value> {
     backends: Vec<Box<dyn Backend<T>>>,
-    /// `None` means the process-global [`crate::autotune::global`]
-    /// table; tests attach isolated instances.
-    autotuner: Option<Arc<Autotuner>>,
+    /// This dispatcher's winner table ([`crate::autotune`]): its own
+    /// in-memory instance unless one is attached.
+    autotuner: Arc<Autotuner>,
     /// Per-dispatcher fault memory: breaker states, outcome windows,
     /// retry budget ([`crate::health`]). Fresh (environment-configured,
     /// monotonic clock) per dispatcher unless a shared or virtual-clock
@@ -731,17 +730,17 @@ impl<T: Value> Dispatcher<T> {
     pub fn new() -> Self {
         Self {
             backends: Vec::new(),
-            autotuner: None,
+            autotuner: Arc::new(Autotuner::in_memory(AutotuneMode::On)),
             health: Arc::new(HealthRegistry::from_env()),
         }
     }
 
-    /// Attaches a dedicated [`Autotuner`] instance to this dispatcher
-    /// instead of the process-global table — how tests isolate their
-    /// measurement counters, and how an application can scope a winner
-    /// table to one workload.
+    /// Replaces this dispatcher's [`Autotuner`] — how several
+    /// dispatchers share one winner table, how a caller keeps a handle
+    /// on the measurement counters, and how the autotuner is turned
+    /// off ([`Autotuner::off`]).
     pub fn with_autotuner(mut self, tuner: Arc<Autotuner>) -> Self {
-        self.autotuner = Some(tuner);
+        self.autotuner = tuner;
         self
     }
 
@@ -759,16 +758,6 @@ impl<T: Value> Dispatcher<T> {
     /// budget.
     pub fn health(&self) -> &Arc<HealthRegistry> {
         &self.health
-    }
-
-    /// The autotuner behind [`Dispatcher::solve_calibrated`] and the
-    /// batch layer's group decisions: the attached instance, else the
-    /// process-global table.
-    pub fn autotuner(&self) -> &Autotuner {
-        match &self.autotuner {
-            Some(tuner) => tuner,
-            None => autotune::global(),
-        }
     }
 
     /// The standard registry: sequential, rayon, the two headline PRAM
@@ -857,42 +846,17 @@ impl<T: Value> Dispatcher<T> {
         self.run(backend, problem, &tuning)
     }
 
-    /// Solves with *measured* selection: consults the persistent
-    /// autotuner ([`crate::autotune`]) for this problem's key — running
-    /// the single-flight candidate measurement on first encounter — and
-    /// falls back to the one-shot calibration probe
-    /// ([`crate::runtime::calibrate`]) whenever the autotuner has
-    /// nothing for this call (disabled, read-only miss, or another
-    /// thread mid-measurement). A warm key is a hash-map lookup: no
-    /// probe, no measurement, no overhead beyond [`Dispatcher::solve_with`].
-    ///
-    /// The returned [`Telemetry::provenance`] says which path decided
-    /// the solve: `cached`, `measured`, or `probed`.
-    pub fn solve_calibrated(&self, problem: &Problem<'_, T>) -> (Solution<T>, Telemetry) {
-        let decision = self.autotune_decision(problem);
-        let backend = decision
-            .backend
-            .as_deref()
-            .and_then(|name| self.find(name))
-            .filter(|b| b.eligible(problem))
-            .unwrap_or_else(|| self.select(problem, &decision.tuning));
-        let (solution, mut telemetry) = self.run(backend, problem, &decision.tuning);
-        telemetry.provenance = Some(decision.provenance);
-        (solution, telemetry)
-    }
-
-    /// The autotune consultation shared by [`Dispatcher::solve_calibrated`]
-    /// and the batch layer's group decisions: winner from the table
-    /// (re-overlaid with the `MONGE_*` environment, which outranks the
-    /// cache), measured on a cold key, calibration probe otherwise.
+    /// The batch layer's group decision: the winner from this
+    /// dispatcher's table, measured on a cold key; when the table has
+    /// nothing for the call, the env-seeded defaults on the
+    /// grain-policy backend.
     pub(crate) fn autotune_decision(&self, problem: &Problem<'_, T>) -> AutotuneDecision {
-        let tuner = self.autotuner();
         let (m, n) = problem.search_shape();
-        if tuner.mode() != AutotuneMode::Off && m > 0 && n > 0 {
-            match tuner.begin(AutotuneKey::of(problem)) {
+        if m > 0 && n > 0 {
+            match self.autotuner.begin(AutotuneKey::of(problem)) {
                 Claim::Hit(w) => {
                     return AutotuneDecision {
-                        tuning: w.tuning.env_overlay(),
+                        tuning: w.tuning,
                         backend: Some(w.backend),
                         provenance: TuningProvenance::Cached,
                     }
@@ -900,24 +864,23 @@ impl<T: Value> Dispatcher<T> {
                 Claim::Measure(token) => {
                     if let Some(w) = autotune::measure(self, problem) {
                         let decision = AutotuneDecision {
-                            tuning: w.tuning.env_overlay(),
-                            backend: Some(w.backend.clone()),
+                            tuning: w.tuning,
+                            backend: Some(w.backend),
                             provenance: TuningProvenance::Measured,
                         };
                         token.fulfill(w);
                         return decision;
                     }
-                    // No eligible candidate (the token's drop released
-                    // the claim): probe like everyone else.
+                    // No eligible candidate: the token's drop releases
+                    // the claim.
                 }
                 Claim::Pass => {}
             }
         }
-        // `calibrate` env-overlays its measured values itself.
         AutotuneDecision {
-            tuning: runtime::calibrate(&problem.primary_array()),
+            tuning: Tuning::from_env(),
             backend: None,
-            provenance: TuningProvenance::Probed,
+            provenance: TuningProvenance::Default,
         }
     }
 
@@ -950,8 +913,8 @@ impl<T: Value> Dispatcher<T> {
             backend: backend.name(),
             kind: Some(problem.kind()),
             // Callers that hand a tuning in directly (per-call or
-            // env-seeded) are the `default` provenance; the autotuned
-            // entry points overwrite this with the path that ran.
+            // env-seeded) are the `default` provenance; the batch layer
+            // overwrites this with its group decision's.
             provenance: Some(TuningProvenance::Default),
             ..Telemetry::default()
         };
@@ -1132,6 +1095,17 @@ mod tests {
                 assert_eq!(sol.rows().index, vec![6; 5], "{}", b.name());
             }
         }
+    }
+
+    #[test]
+    fn explicit_tuning_paths_stamp_default_provenance() {
+        let d = Dispatcher::<i64>::with_default_backends();
+        let a = monge_fixture(48, 48, 11);
+        let p = Problem::row_minima(&a);
+        let (_, tel) = d.solve_with(&p, Tuning::DEFAULT);
+        assert_eq!(tel.provenance, Some(TuningProvenance::Default));
+        let (_, tel) = d.solve(&p);
+        assert_eq!(tel.provenance, Some(TuningProvenance::Default));
     }
 
     #[test]

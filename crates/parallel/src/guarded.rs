@@ -38,10 +38,11 @@
 //!
 //! Deadlines are cooperative: the engines call
 //! [`monge_core::guard::checkpoint`] at recursion leaves and
-//! interval-scan boundaries; `solve_guarded` installs a
-//! [`monge_core::guard::CancelToken`] for the duration of each attempt
-//! and converts the resulting [`Cancelled`] unwind into
-//! [`SolveError::DeadlineExceeded`].
+//! interval-scan boundaries, the validators once per row of
+//! quadruples; `solve_guarded` installs a
+//! [`monge_core::guard::CancelToken`] for the duration of the
+//! validation and of each attempt, and converts the resulting
+//! [`Cancelled`] unwind into [`SolveError::DeadlineExceeded`].
 //!
 //! ## Resilience (PR 9)
 //!
@@ -57,8 +58,8 @@
 //! under [`monge_core::guard::RetryPolicy`]'s seeded decorrelated
 //! jitter, gated by the registry's global retry budget; each retry is a
 //! fresh [`GuardOutcome::attempts`] entry and is counted in
-//! [`Telemetry::retries`]. Successful solves carry a
-//! [`Telemetry::health_snapshot`] of every tracked backend.
+//! [`Telemetry::retries`]. [`Dispatcher::health`] reports every
+//! tracked backend's state on demand.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -336,14 +337,16 @@ impl<T: Value> Dispatcher<T> {
     }
 
     /// Admission: the input preconditions, then one validation of the
-    /// structural promise per `policy` (under `catch_unwind`: the array
-    /// itself may panic while being read). The returned outcome carries
-    /// the validation record, and `quarantined` when a broken promise
-    /// must be answered by the brute-force terminal alone.
+    /// structural promise per `policy`, under `catch_unwind` (the array
+    /// itself may panic while being read) and `token`, if any. The
+    /// returned outcome carries the validation record, and
+    /// `quarantined` when a broken promise must be answered by the
+    /// brute-force terminal alone.
     pub(crate) fn admit(
         &self,
         problem: &Problem<'_, T>,
         policy: &GuardPolicy,
+        token: Option<&CancelToken>,
     ) -> Result<GuardOutcome, SolveError> {
         input_preconditions(problem).map_err(|reason| SolveError::InvalidInput { reason })?;
         let mut outcome = GuardOutcome {
@@ -351,7 +354,7 @@ impl<T: Value> Dispatcher<T> {
             ..GuardOutcome::default()
         };
         let t0 = Instant::now();
-        let validated = attempt("validator", None, t0, policy, || validate(problem, policy))?;
+        let validated = attempt("validator", token, t0, policy, || validate(problem, policy))?;
         outcome.validation_nanos = t0.elapsed().as_nanos();
         if let Err(witness) = validated {
             // Broken promises are a health signal too: recorded against
@@ -377,8 +380,9 @@ impl<T: Value> Dispatcher<T> {
     /// The guarded attempt primitive: admission (unless the caller
     /// already admitted the request and passes its `admitted` verdict),
     /// then the fallback-chain walk from `first` (else the grain-policy
-    /// choice), each attempt under `catch_unwind`, the breakers, the
-    /// retry budget and `policy.deadline`.
+    /// choice), each attempt under `catch_unwind`, the breakers and the
+    /// retry budget; admission and the walk both run under
+    /// `policy.deadline`.
     pub(crate) fn guarded_impl(
         &self,
         problem: &Problem<'_, T>,
@@ -395,7 +399,7 @@ impl<T: Value> Dispatcher<T> {
         health.credit_request();
         let mut outcome = match admitted {
             Some(outcome) => outcome,
-            None => self.admit(problem, policy)?,
+            None => self.admit(problem, policy, token.as_ref())?,
         };
 
         // --- Build the deterministic fallback chain. ---
@@ -462,7 +466,6 @@ impl<T: Value> Dispatcher<T> {
                         telemetry.guard = Some(outcome);
                         telemetry.retries = retries;
                         telemetry.breaker_skips = breaker_skips;
-                        telemetry.health_snapshot = Some(health.snapshot());
                         return Ok((solution, telemetry));
                     }
                     Err(deadline @ SolveError::DeadlineExceeded { .. }) => {

@@ -68,7 +68,7 @@ impl<T: Value> Dispatcher<T> {
     ///   promise broken (under *either* violation action; an index over
     ///   a broken promise has no brute path to quarantine onto).
     /// * [`SolveError::DeadlineExceeded`] — the policy budget expired
-    ///   at a build checkpoint.
+    ///   at a validation or build checkpoint.
     /// * [`SolveError::BackendPanic`] — the source array (or the
     ///   validator) panicked while being read.
     pub fn build_index_guarded(
@@ -104,7 +104,7 @@ impl<T: Value> Dispatcher<T> {
         };
 
         let t0 = Instant::now();
-        let validated = attempt("validator", None, start, policy, || {
+        let validated = attempt("validator", token.as_ref(), start, policy, || {
             validate(problem, policy)
         })?;
         outcome.validation_nanos = t0.elapsed().as_nanos();

@@ -14,10 +14,10 @@
 //!   allocating, so steady-state searches perform zero heap
 //!   allocations (the `alloc_free` integration test pins this down
 //!   with a counting global allocator).
-//! * **Grain calibration** — [`calibrate`] replaces guessed cutoffs
-//!   with measured ones: it times a few row scans of the array at
-//!   hand, derives the per-entry evaluation cost, and sizes the
-//!   [`Tuning`] cutoffs so each forked task does roughly
+//! * **Grain calibration** — [`calibrate`] sizes the grain candidate
+//!   the autotuner ([`crate::autotune`]) races: it times a few row
+//!   scans of the array at hand, derives the per-entry evaluation cost,
+//!   and sizes the [`Tuning`] cutoffs so each forked task does roughly
 //!   [`TARGET_TASK_NANOS`] (~20 µs) of work. Cheap dense rows get
 //!   coarse grains; expensive DIST/generator rows get fine grains.
 //!
@@ -40,32 +40,16 @@
 //! seq_rows = TARGET_TASK_NANOS / (c · (n/m + lg m))   (clamped to [4, 4096])
 //! ```
 //!
-//! Calibration also probes the kernel choice: when the `simd` feature
-//! is active and the CPU supports it, it times the scalar blocked scan
-//! against the vector lane kernel on a sample row and pins
-//! [`Tuning::kernel`] to `Scalar` if vectorization loses (leaving
-//! `Auto` — SIMD on — otherwise).
-//!
-//! The result is then overlaid with any `MONGE_*` environment
-//! variables ([`Tuning::env_overlay`]), preserving the precedence
-//! documented in [`crate::tuning`]: per-call values beat the
-//! environment, which beats the autotune cache, which beats
-//! calibration, which beats the built-in defaults.
-//!
-//! Calibration is the *one-shot, per-process* layer: it never touches
-//! disk and never compares whole backends. The persistent autotuner
-//! ([`crate::autotune`]) sits above it — measuring candidate
-//! `(backend, tuning, kernel)` configurations per problem family and
-//! remembering the winners across processes — and uses `calibrate`'s
-//! output both as one of its candidate tunings and as the fallback
-//! for every call the table cannot answer.
+//! Calibration is not a rung of the [`crate::tuning`] ladder: it never
+//! decides a solve by itself, reads no environment variable and leaves
+//! the kernel choice to the autotuner, which races both kernel pins
+//! whenever the SIMD kernels are available.
 
 #![allow(clippy::disallowed_methods)] // the one module allowed to fork
 
 use crate::tuning::Tuning;
 use monge_core::array2d::Array2d;
 use monge_core::eval;
-use monge_core::kernel::Kernel;
 use monge_core::state::{self, Fork, Tally};
 use monge_core::value::Value;
 use rayon::prelude::*;
@@ -145,21 +129,19 @@ where
 /// that build a task of this size costs more to fork than to run.
 pub const TARGET_TASK_NANOS: f64 = 20_000.0;
 
-/// One-shot grain calibration for the array `a`.
+/// Grain calibration for the array `a`: the autotuner's grain
+/// candidate.
 ///
 /// Measures the per-entry evaluation cost by timing interval scans of
 /// a few sample rows (through the same batched-evaluation path the
 /// engines use), then sizes the cutoffs for ~[`TARGET_TASK_NANOS`] of
-/// work per task. Any valid `MONGE_*` environment variables override
-/// the measured fields. Costs a few hundred microseconds; intended to
-/// run once per workload, not per call.
+/// work per task. Costs a few hundred microseconds.
 ///
-/// Degenerate inputs (empty array) return [`Tuning::from_env`]
-/// unchanged.
+/// Degenerate inputs (empty array) return [`Tuning::DEFAULT`].
 pub fn calibrate<T: Value, A: Array2d<T>>(a: &A) -> Tuning {
     let (m, n) = (a.rows(), a.cols());
     if m == 0 || n == 0 {
-        return Tuning::from_env();
+        return Tuning::DEFAULT;
     }
     let c = per_entry_nanos(a).max(0.05);
     let seq_scan = ((TARGET_TASK_NANOS / c) as usize).clamp(64, 1 << 20);
@@ -172,57 +154,8 @@ pub fn calibrate<T: Value, A: Array2d<T>>(a: &A) -> Tuning {
         seq_scan,
         seq_rows,
         tube_seq_planes,
-        kernel: probe_kernel(a),
         ..Tuning::DEFAULT
     }
-    .env_overlay()
-}
-
-/// Probes whether the SIMD lane kernels actually beat the scalar
-/// blocked scan on this array's values, returning the [`Kernel`]
-/// request calibration should carry.
-///
-/// Returns [`Kernel::Auto`] (no request) when SIMD is not compiled in
-/// or not supported by the CPU — the scans already fall back to scalar
-/// there. Otherwise it materializes one sample row and times both scan
-/// implementations; if the vector kernel loses (e.g. very short rows,
-/// or a value type the kernels don't cover), the calibrated tuning
-/// pins [`Kernel::Scalar`] so the dispatcher turns vectorization off
-/// for this workload.
-fn probe_kernel<T: Value, A: Array2d<T>>(a: &A) -> Kernel {
-    use monge_core::kernel;
-    if !kernel::simd_compiled() || !kernel::simd_available() {
-        return Kernel::Auto;
-    }
-    let n = a.cols();
-    let width = n.min(4096);
-    if width < 2 * kernel::MIN_SIMD_LEN {
-        // Too short for the lane kernels to engage at all.
-        return Kernel::Auto;
-    }
-    with_scratch(|scratch: &mut Vec<T>| {
-        scratch.clear();
-        scratch.resize(width, T::ZERO);
-        a.fill_row(a.rows() / 2, 0..width, scratch);
-        let reps = (50_000 / width).max(8);
-        let time = |f: &dyn Fn(&[T]) -> usize| {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(f(std::hint::black_box(&scratch[..])));
-            }
-            t0.elapsed().as_nanos()
-        };
-        let scalar = time(&|v| eval::argmin_slice_tie_scalar(v, monge_core::Tie::Left));
-        let simd = time(&|v| {
-            kernel::argmin_lanes(v, monge_core::Tie::Left)
-                .unwrap_or_else(|| eval::argmin_slice_tie_scalar(v, monge_core::Tie::Left))
-        });
-        if simd <= scalar {
-            Kernel::Auto
-        } else {
-            Kernel::Scalar
-        }
-    })
 }
 
 /// Measured cost of one entry evaluation, in nanoseconds.
@@ -256,7 +189,7 @@ mod tests {
     use super::*;
     use monge_core::array2d::{Dense, FnArray};
     use monge_core::guard::{checkpoint, with_cancellation, CancelToken, Cancelled};
-    use monge_core::kernel::{self, with_kernel};
+    use monge_core::kernel::{self, with_kernel, Kernel};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Runs `f` inside a 2-thread pool, where forks spawn real threads,
@@ -381,19 +314,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_array_falls_back_to_env_defaults() {
+    fn empty_array_falls_back_to_defaults() {
         let a = Dense::tabulate(0, 0, |_, _| 0i64);
-        assert_eq!(calibrate(&a), Tuning::from_env());
+        assert_eq!(calibrate(&a), Tuning::DEFAULT);
     }
 
     #[test]
-    fn env_overlay_has_final_say_over_measurement() {
-        // Can't set env vars safely in a multithreaded test harness;
-        // instead check the overlay identity directly: with no MONGE_*
-        // vars set the overlay is the identity, with them set both
-        // sides pick up the same values.
-        let a = Dense::tabulate(16, 128, |i, j| (i * j) as i64);
-        let t = calibrate(&a);
-        assert_eq!(t, t.env_overlay());
+    fn forked_threads_see_the_installed_thread_count() {
+        let k = std::thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(k)
+            .build()
+            .expect("the runtime's pool builder never fails");
+        let (here, forked) =
+            pool.install(|| join(rayon::current_num_threads, rayon::current_num_threads));
+        assert_eq!(here, k);
+        assert_eq!(forked, k, "the forked side keeps the pool's count");
     }
 }

@@ -26,30 +26,25 @@
 //!
 //! ## Precedence
 //!
-//! From strongest to weakest:
+//! A solve's backend and tuning come from one ladder, strongest first:
 //!
-//! 1. **Per-call values** — whatever `Tuning` the caller passes to a
-//!    `*_with` entry point (struct-update syntax composes well:
+//! 1. **Per-call** — whatever `Tuning` the caller passes to a `*_with`
+//!    entry point or [`crate::batch::BatchPolicy::tuning`]
+//!    (struct-update syntax composes well:
 //!    `Tuning { seq_scan: 64, ..base }`).
-//! 2. **Environment variables** — [`Tuning::from_env`] overlays the
-//!    `MONGE_*` variables on the built-in defaults,
-//!    [`crate::runtime::calibrate`] overlays them on its measured
-//!    values, and the autotuner re-overlays them on every cached
-//!    winner it serves, so a deployment-level pin always beats both
-//!    measurement layers.
-//! 3. **Autotune cache** — the persistent winner table of
-//!    [`crate::autotune`]: a `(backend, Tuning)` measured once per
+//! 2. **Autotune** — the batch layer's group decision: the dispatcher's
+//!    in-memory winner table ([`crate::autotune`]), measured once per
 //!    [`crate::autotune::AutotuneKey`] by racing the candidate set on
-//!    a probe of the real problem, remembered across processes.
-//! 4. **Calibration** — [`crate::runtime::calibrate`] measures the
-//!    per-entry evaluation cost of the array at hand and sizes chunks
-//!    for ~20 µs of work per rayon task. The fallback whenever the
-//!    autotuner has nothing for a call (disabled, read-only miss, or
-//!    mid-measurement on another thread).
-//! 5. **Built-in defaults** — [`Tuning::DEFAULT`].
+//!    a probe of the real problem. It names the backend as well.
+//! 3. **Env-seeded defaults** — [`Tuning::from_env`]: the `MONGE_*`
+//!    variables overlaid on [`Tuning::DEFAULT`], run on the backend the
+//!    grain policy picks. Taken whenever the rungs above have nothing
+//!    for a call (no explicit tuning, autotune off, or another thread
+//!    mid-measurement).
 //!
-//! Which layer decided a dispatched solve is recorded in
-//! [`monge_core::problem::Telemetry::provenance`].
+//! Which rung decided a dispatched solve is recorded in
+//! [`monge_core::problem::Telemetry::provenance`] (`default` for rungs
+//! 1 and 3, `cached` / `measured` for rung 2).
 //!
 //! Malformed or zero-valued environment variables are ignored (a zero
 //! cutoff would recurse forever); the engines additionally clamp every
@@ -93,8 +88,9 @@ pub struct Tuning {
     pub pram_base_rows: usize,
     /// Which slice-scan kernel the engines should use
     /// ([`monge_core::kernel::Kernel`]): `Auto` (the default) requests
-    /// nothing, `Scalar`/`Simd` pin the choice for the solve. Set by
-    /// [`crate::runtime::calibrate`]'s probe.
+    /// nothing, `Scalar`/`Simd` pin the choice for the solve. The
+    /// autotuner races `Auto` against `Scalar` when the SIMD kernels
+    /// are available.
     pub kernel: Kernel,
 }
 
@@ -114,20 +110,13 @@ impl Tuning {
     /// no per-element cost and no process-global cache to fight in
     /// tests.
     pub fn from_env() -> Tuning {
-        Tuning::DEFAULT.env_overlay()
-    }
-
-    /// Overlay any valid `MONGE_*` environment variables on `self`.
-    /// Used both by [`Tuning::from_env`] (on the defaults) and by
-    /// [`crate::runtime::calibrate`] (on measured values), which is
-    /// what gives the environment precedence over calibration.
-    pub fn env_overlay(self) -> Tuning {
+        let d = Tuning::DEFAULT;
         Tuning {
-            seq_scan: env_usize("MONGE_SEQ_SCAN").unwrap_or(self.seq_scan),
-            seq_rows: env_usize("MONGE_SEQ_ROWS").unwrap_or(self.seq_rows),
-            tube_seq_planes: env_usize("MONGE_TUBE_SEQ_PLANES").unwrap_or(self.tube_seq_planes),
-            pram_base_rows: env_usize("MONGE_PRAM_BASE_ROWS").unwrap_or(self.pram_base_rows),
-            kernel: Kernel::from_env().unwrap_or(self.kernel),
+            seq_scan: env_usize("MONGE_SEQ_SCAN").unwrap_or(d.seq_scan),
+            seq_rows: env_usize("MONGE_SEQ_ROWS").unwrap_or(d.seq_rows),
+            tube_seq_planes: env_usize("MONGE_TUBE_SEQ_PLANES").unwrap_or(d.tube_seq_planes),
+            pram_base_rows: env_usize("MONGE_PRAM_BASE_ROWS").unwrap_or(d.pram_base_rows),
+            kernel: Kernel::from_env().unwrap_or(d.kernel),
         }
     }
 }

@@ -1,18 +1,26 @@
-//! Single-flight measurement under contention: N threads hitting
-//! `solve_calibrated` on the same cold key perform exactly one
-//! measurement between them — the losers fall back to the calibration
-//! probe (or pick up the cached winner if the race has already been
-//! decided) instead of blocking or re-measuring.
+//! Single-flight measurement under contention: N threads batching the
+//! same cold key on one dispatcher perform exactly one measurement
+//! between them — the losers run the env-seeded defaults on the
+//! grain-policy backend (or pick up the cached winner if the race has
+//! already been decided) instead of blocking or re-measuring.
 
 use std::sync::{Arc, Barrier};
 
 use monge_core::array2d::Dense;
 use monge_core::generators::random_monge_dense;
 use monge_core::monge::brute_row_minima;
-use monge_core::problem::{Problem, TuningProvenance};
-use monge_parallel::{AutotuneMode, Autotuner, Dispatcher};
+use monge_core::problem::{Problem, Telemetry, TuningProvenance};
+use monge_parallel::{AutotuneMode, Autotuner, BatchPolicy, Dispatcher, Tuning};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One single-member batch: the autotuned entry point.
+fn solve(d: &Dispatcher<i64>, a: &Dense<i64>) -> Telemetry {
+    let report = d.solve_batch_report(&[Problem::row_minima(a)], &BatchPolicy::default());
+    let sol = report.results[0].as_ref().expect("valid instance solves");
+    assert_eq!(sol.rows().index, brute_row_minima(a));
+    report.telemetry[0].clone()
+}
 
 #[test]
 fn n_threads_on_one_cold_key_measure_exactly_once() {
@@ -30,7 +38,7 @@ fn n_threads_on_one_cold_key_measure_exactly_once() {
         .collect();
     let barrier = Barrier::new(THREADS);
 
-    let provenances: Vec<TuningProvenance> = std::thread::scope(|scope| {
+    let telemetries: Vec<Telemetry> = std::thread::scope(|scope| {
         let handles: Vec<_> = arrays
             .iter()
             .map(|a| {
@@ -38,15 +46,14 @@ fn n_threads_on_one_cold_key_measure_exactly_once() {
                 let barrier = &barrier;
                 scope.spawn(move || {
                     barrier.wait();
-                    let p = Problem::row_minima(a);
-                    let (sol, tel) = d.solve_calibrated(&p);
-                    assert_eq!(sol.rows().index, brute_row_minima(a));
-                    tel.provenance.expect("calibrated solves stamp provenance")
+                    solve(&d, a)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    let provenances: Vec<Option<TuningProvenance>> =
+        telemetries.iter().map(|t| t.provenance).collect();
 
     assert_eq!(
         tuner.measurements(),
@@ -55,16 +62,28 @@ fn n_threads_on_one_cold_key_measure_exactly_once() {
     );
     let measured = provenances
         .iter()
-        .filter(|&&p| p == TuningProvenance::Measured)
+        .filter(|&&p| p == Some(TuningProvenance::Measured))
         .count();
     assert_eq!(measured, 1, "exactly one thread owns the measurement");
-    // Everyone else either probed (measurement still in flight) or hit
-    // the cache (measurement already done) — never `default`.
-    assert!(provenances.iter().all(|&p| p != TuningProvenance::Default));
+    // Everyone else either hit the cache (measurement already done) or
+    // ran the defaults on the grain-policy backend (measurement still
+    // in flight).
+    let grain = dispatcher
+        .select(&Problem::row_minima(&arrays[0]), &Tuning::from_env())
+        .name();
+    for tel in &telemetries {
+        match tel.provenance {
+            Some(TuningProvenance::Measured | TuningProvenance::Cached) => {}
+            Some(TuningProvenance::Default) => {
+                let path = tel.guard.as_ref().expect("batch members are guarded");
+                assert_eq!(path.fallback_path(), vec![grain]);
+            }
+            None => panic!("batch members stamp provenance ({provenances:?})"),
+        }
+    }
 
     // The dust has settled: every later solve is a pure cache hit.
-    let p = Problem::row_minima(&arrays[0]);
-    let (_, tel) = dispatcher.solve_calibrated(&p);
+    let tel = solve(&dispatcher, &arrays[0]);
     assert_eq!(tel.provenance, Some(TuningProvenance::Cached));
     assert_eq!(tuner.measurements(), 1);
 }

@@ -11,13 +11,13 @@
 //!   telemetry;
 //! * fallback results match the sequential reference.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use monge_core::array2d::{Array2d, Dense};
 use monge_core::generators::{apply_staircase, random_monge_dense, random_staircase_boundary};
 use monge_core::guard::{FaultInjector, FaultPlan, GuardPolicy, SolveError};
 use monge_core::problem::{Problem, Solution, Telemetry};
-use monge_parallel::{Backend, BruteForceBackend, Dispatcher, Tuning};
+use monge_parallel::{Backend, BatchPolicy, BruteForceBackend, Dispatcher, Tuning};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -193,6 +193,59 @@ fn an_expired_deadline_is_a_typed_error() {
     }
 }
 
+/// A 16×16 array whose every entry read sleeps 1 ms: full validation
+/// alone reads about 900 entries.
+fn one_ms_reads() -> FaultInjector<i64, Dense<i64>> {
+    FaultInjector::new(
+        monge_16(),
+        FaultPlan::none(8).latency(1000, Duration::from_millis(1)),
+        0i64,
+    )
+}
+
+/// Runs `solve` under full validation and a 5 ms budget: it must fail
+/// with that budget's `DeadlineExceeded` well before validation could
+/// finish.
+fn assert_validation_stops_at(what: &str, solve: impl FnOnce(Duration) -> Result<(), SolveError>) {
+    let budget = Duration::from_millis(5);
+    let t0 = Instant::now();
+    let r = solve(budget);
+    let took = t0.elapsed();
+    match r {
+        Err(SolveError::DeadlineExceeded { deadline, .. }) => {
+            assert_eq!(deadline, budget, "{what}")
+        }
+        other => panic!("{what}: expected DeadlineExceeded, got {other:?}"),
+    }
+    assert!(
+        took < Duration::from_millis(200),
+        "{what} overran a 5 ms deadline: {took:?}"
+    );
+}
+
+#[test]
+fn validation_honours_the_deadline() {
+    let f = one_ms_reads();
+    let d = Dispatcher::with_default_backends();
+    assert_validation_stops_at("solve_guarded", |budget| {
+        let policy = GuardPolicy::full_validation().with_deadline(budget);
+        d.solve_guarded(&Problem::row_minima(&f), &policy)
+            .map(|_| ())
+    });
+    assert_validation_stops_at("build_index_guarded", |budget| {
+        let policy = GuardPolicy::full_validation().with_deadline(budget);
+        d.build_index_guarded(&Problem::row_minima(&f), &policy)
+            .map(|_| ())
+    });
+    assert_validation_stops_at("batch admission", |budget| {
+        let policy = BatchPolicy::default()
+            .with_guard(GuardPolicy::full_validation())
+            .with_deadline(budget);
+        let mut results = d.solve_batch(&[Problem::row_minima(&f)], policy);
+        results.pop().expect("one member").map(|_| ())
+    });
+}
+
 #[test]
 fn clean_instances_solve_without_degradation() {
     let base = monge_16();
@@ -308,12 +361,9 @@ fn all_open_circuits_land_on_brute_for_every_problem_kind() {
             p.kind(),
             tel.breaker_skips
         );
-        let snap = tel
-            .health_snapshot
-            .expect("successful solves carry a snapshot");
-        for name in ["sequential", "rayon"] {
-            if let Some(s) = snap.iter().find(|s| s.backend == name) {
-                assert_eq!(s.state, BreakerState::Open, "{name} stays open");
+        for s in registry.snapshot() {
+            if s.backend == "sequential" || s.backend == "rayon" {
+                assert_eq!(s.state, BreakerState::Open, "{} stays open", s.backend);
             }
         }
     }

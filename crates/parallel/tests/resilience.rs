@@ -236,7 +236,7 @@ fn circuit_open_is_a_typed_error_when_the_chain_cannot_reach_brute() {
 }
 
 #[test]
-fn health_snapshot_rides_the_telemetry_merge() {
+fn registry_tracks_the_attempt_and_merge_sums_the_counters() {
     let clock = Arc::new(VirtualClock::new());
     let registry = Arc::new(HealthRegistry::new(HealthConfig::DEFAULT, clock));
     let d = Dispatcher::with_default_backends().with_health_registry(registry);
@@ -244,7 +244,7 @@ fn health_snapshot_rides_the_telemetry_merge() {
     let (_, tel) = d
         .solve_guarded(&Problem::row_minima(&a), &GuardPolicy::default())
         .unwrap();
-    let snap = tel.health_snapshot.as_ref().expect("snapshot stamped");
+    let snap = d.health().snapshot();
     let seq = snap
         .iter()
         .find(|s| s.backend == "sequential")
@@ -252,11 +252,10 @@ fn health_snapshot_rides_the_telemetry_merge() {
     assert_eq!(seq.state, BreakerState::Closed);
     assert_eq!(seq.window_len, 1);
     assert_eq!(seq.window_failures, 0);
-    // Merging keeps the latest snapshot and sums the counters.
+    // Merging sums the counters.
     let older = Telemetry {
         retries: 2,
         breaker_skips: 1,
-        health_snapshot: None,
         ..Telemetry::default()
     };
     let merged = Telemetry::merge(
@@ -268,7 +267,6 @@ fn health_snapshot_rides_the_telemetry_merge() {
     );
     assert_eq!(merged.retries, 2);
     assert_eq!(merged.breaker_skips, 1);
-    assert!(merged.health_snapshot.is_some(), "latest snapshot survives");
 }
 
 #[test]

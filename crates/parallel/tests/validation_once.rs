@@ -128,7 +128,7 @@ fn batch_admission_validates_once_per_request() {
     let d = Dispatcher::with_default_backends();
     let policy = BatchPolicy::default()
         .with_guard(GuardPolicy::full_validation())
-        .without_calibration();
+        .with_tuning(Tuning::from_env());
 
     // One problem through the batch path...
     let problems = [Problem::row_minima(&a)];
@@ -196,7 +196,7 @@ fn two_thread_batch_reads_each_member_like_the_loop() {
         let d = Dispatcher::with_default_backends();
         let policy = BatchPolicy::default()
             .with_guard(GuardPolicy::full_validation())
-            .without_calibration();
+            .with_tuning(Tuning::from_env());
         let before: Vec<Vec<u64>> = (0..problems.len()).map(reads).collect();
         let report = d.solve_batch_report(&problems, &policy);
         let batch_reads: Vec<Vec<u64>> =
