@@ -42,6 +42,17 @@ pub fn add_comparisons(n: u64) {
     });
 }
 
+/// Adds `n` entry evaluations to the calling thread's tally: a plain
+/// thread-local update, cheap enough for [`crate::problem::Metered`]'s
+/// per-entry path and for generator closures that count their calls.
+#[inline]
+pub fn add_evaluations(n: u64) {
+    state::add(Tally {
+        evaluations: n,
+        ..Tally::default()
+    });
+}
+
 // The slice scans below are two-level: a branch-free lane-parallel
 // minimum per fixed-size block (eight independent accumulator chains, so
 // the reduction is load-bound rather than serialized on one

@@ -461,7 +461,8 @@ pub struct GuardOutcome {
     pub quarantined: bool,
     /// The witness that triggered the quarantine, if any.
     pub witness: Option<ViolationWitness>,
-    /// The fallback chain, in execution order.
+    /// The fallback chain, in execution order. A batch member whose
+    /// group decision panicked starts with an `"autotune"` attempt.
     pub attempts: Vec<Attempt>,
 }
 

@@ -20,12 +20,12 @@
 //! hand-rolling its own reverse/negate/mirror plumbing.
 
 use crate::array2d::{Array2d, Negate, ReverseCols};
+use crate::eval::add_evaluations;
 use crate::smawk::RowExtrema;
 use crate::tiebreak::Tie;
 use crate::tube::TubeExtrema;
 use crate::value::Value;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What is being optimized along each row (or tube).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -586,13 +586,13 @@ impl TuningProvenance {
 /// What one dispatched solve did: evaluation/comparison/task/arena
 /// counts, per-phase wall time, and (for simulator backends) the
 /// machine-model cost. Filled cooperatively — the dispatcher stamps the
-/// identity fields, wall clock and the solve's comparison/task/checkout
-/// counts; the backend records phases, entry evaluations and machine
+/// identity fields, wall clock and the solve's evaluation, comparison,
+/// task and checkout counts; the backend records phases and machine
 /// counters.
 ///
-/// The comparison/task/checkout counts are the change in the solving
-/// thread's tally ([`crate::state`]), forks included: exact even while
-/// other threads solve concurrently.
+/// The four counts are the change in the solving thread's tally
+/// ([`crate::state`]), forks included: exact even while other threads
+/// solve concurrently.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     /// Name of the backend that ran the solve.
@@ -753,6 +753,13 @@ impl Telemetry {
 
 /// An evaluation-counting pass-through used by the dispatch layer.
 ///
+/// `Metered` keeps no counter of its own: each `entry`, `fill_row` and
+/// `row_view` adds its entry count to the reading thread's tally
+/// ([`crate::state`], via [`crate::eval::add_evaluations`]), which the
+/// fork seam carries to the joiner. The dispatcher reads a solve's
+/// [`Telemetry::evaluations`] as the change in that tally, so forks of
+/// one solve share no counter.
+///
 /// Unlike [`crate::eval::CountingArray`] — which deliberately hides
 /// [`Array2d::row_view`] so eval-layer tests count *exact* per-entry
 /// work — `Metered` forwards the zero-copy tier and counts the viewed
@@ -761,21 +768,12 @@ impl Telemetry {
 /// the engine", an upper bound on entries actually compared.
 pub struct Metered<A> {
     inner: A,
-    count: AtomicU64,
 }
 
 impl<A> Metered<A> {
-    /// Wraps an array with a zeroed counter.
+    /// Wraps an array.
     pub fn new(inner: A) -> Self {
-        Self {
-            inner,
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// Entries evaluated or viewed through this wrapper so far.
-    pub fn evaluations(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        Self { inner }
     }
 }
 
@@ -788,16 +786,16 @@ impl<T: Value, A: Array2d<T>> Array2d<T> for Metered<A> {
     }
     #[inline]
     fn entry(&self, i: usize, j: usize) -> T {
-        self.count.fetch_add(1, Ordering::Relaxed);
+        add_evaluations(1);
         self.inner.entry(i, j)
     }
     fn fill_row(&self, i: usize, cols: Range<usize>, out: &mut [T]) {
-        self.count.fetch_add(cols.len() as u64, Ordering::Relaxed);
+        add_evaluations(cols.len() as u64);
         self.inner.fill_row(i, cols, out);
     }
     fn row_view(&self, i: usize, cols: Range<usize>) -> Option<&[T]> {
         let v = self.inner.row_view(i, cols)?;
-        self.count.fetch_add(v.len() as u64, Ordering::Relaxed);
+        add_evaluations(v.len() as u64);
         Some(v)
     }
     fn prefers_streaming(&self) -> bool {
@@ -1097,12 +1095,21 @@ mod tests {
     #[test]
     fn metered_counts_without_hiding_row_views() {
         let m = Metered::new(Dense::tabulate(2, 5, |i, j| (i + j) as i64));
+        let before = crate::state::tally();
+        let evaluations = || crate::state::tally().since(before).evaluations;
         assert!(m.row_view(0, 1..4).is_some());
-        assert_eq!(m.evaluations(), 3);
+        assert_eq!(evaluations(), 3);
         m.entry(1, 0);
-        assert_eq!(m.evaluations(), 4);
+        assert_eq!(evaluations(), 4);
         let mut buf = vec![0i64; 5];
         m.fill_row(1, 0..5, &mut buf);
-        assert_eq!(m.evaluations(), 9);
+        assert_eq!(
+            crate::state::tally().since(before),
+            crate::state::Tally {
+                evaluations: 9,
+                ..crate::state::Tally::default()
+            },
+            "reading counts evaluations only"
+        );
     }
 }

@@ -118,6 +118,12 @@ pub fn row_minima_totally_monotone_into<T: Value, A: Array2d<T>>(
     crate::eval::add_comparisons(cmp);
 }
 
+/// Columns of REDUCE, and rows of INTERPOLATE, between two deadline
+/// checkpoints inside one recursion level: a level reads `O(m + n)`
+/// entries, too many to leave unchecked when entries are expensive,
+/// while a check per comparison would sit on the hot path.
+const CHECK_STRIDE: usize = 16;
+
 fn smawk_rec<T: Value, A: Array2d<T>>(
     a: &A,
     rows: &[usize],
@@ -141,7 +147,10 @@ fn smawk_rec<T: Value, A: Array2d<T>>(
     crate::scratch::with_scratch2(|stack: &mut Vec<usize>, vals: &mut Vec<T>| {
         stack.clear();
         vals.clear();
-        for &c in cols {
+        for (ci, &c) in cols.iter().enumerate() {
+            if ci % CHECK_STRIDE == CHECK_STRIDE - 1 {
+                crate::guard::checkpoint();
+            }
             while let Some(&inc) = vals.last() {
                 let r = rows[stack.len() - 1];
                 *cmp += 1;
@@ -171,7 +180,10 @@ fn smawk_rec<T: Value, A: Array2d<T>>(
         // are non-decreasing, so one pointer sweep suffices.
         let mut k = 0usize;
         let nr = rows.len();
-        for i in (0..nr).step_by(2) {
+        for (filled, i) in (0..nr).step_by(2).enumerate() {
+            if filled % CHECK_STRIDE == CHECK_STRIDE - 1 {
+                crate::guard::checkpoint();
+            }
             let row = rows[i];
             let stop_col = if i + 1 < nr {
                 out[rows[i + 1]]

@@ -1,9 +1,11 @@
-//! The per-thread solve state: cancellation token, kernel pin and work
-//! counters. Every fork belongs to one solve, so the fork seam
-//! (`monge_parallel::runtime`) [`Fork::capture`]s the caller's state,
-//! [`Fork::run`]s the other side under it and [`add`]s that side's
-//! [`Tally`] to the joiner exactly once: concurrent solves on other
-//! threads never see each other's deadlines, pins or counts.
+//! The per-thread solve state: cancellation token, kernel pin and the
+//! four work counts of a [`Tally`] (entry evaluations, comparisons,
+//! arena checkouts, forked tasks). Every fork belongs to one solve, so
+//! the fork seam (`monge_parallel::runtime`) [`Fork::capture`]s the
+//! caller's state, [`Fork::run`]s the other side under it and [`add`]s
+//! that side's [`Tally`] to the joiner exactly once: concurrent solves
+//! on other threads never see each other's deadlines, pins or counts,
+//! and no count is a shared atomic that forks of one solve contend on.
 
 use crate::guard::CancelToken;
 use crate::kernel::Kernel;
@@ -13,6 +15,9 @@ use std::mem::ManuallyDrop;
 /// Work counted on a thread: its own and that of every fork it joined.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Tally {
+    /// Array entries evaluated (computed, copied or viewed) through
+    /// [`crate::problem::Metered`] and the hypercube generator closures.
+    pub evaluations: u64,
     /// Value comparisons made by the eval layer's scans and by SMAWK.
     pub comparisons: u64,
     /// Scratch-arena checkouts.
@@ -25,6 +30,7 @@ impl Tally {
     /// The work counted since `before` was read on the same thread.
     pub fn since(self, before: Tally) -> Tally {
         Tally {
+            evaluations: self.evaluations.wrapping_sub(before.evaluations),
             comparisons: self.comparisons.wrapping_sub(before.comparisons),
             checkouts: self.checkouts.wrapping_sub(before.checkouts),
             tasks: self.tasks.wrapping_sub(before.tasks),
@@ -45,7 +51,7 @@ thread_local! {
         ManuallyDrop::new(State {
             token: RefCell::new(None),
             kernel: Cell::new(Kernel::Auto),
-            tally: Cell::new(Tally { comparisons: 0, checkouts: 0, tasks: 0 }),
+            tally: Cell::new(Tally { evaluations: 0, comparisons: 0, checkouts: 0, tasks: 0 }),
         })
     };
 }
@@ -61,6 +67,7 @@ pub fn add(t: Tally) {
     STATE.with(|s| {
         let u = s.tally.get();
         s.tally.set(Tally {
+            evaluations: u.evaluations.wrapping_add(t.evaluations),
             comparisons: u.comparisons.wrapping_add(t.comparisons),
             checkouts: u.checkouts.wrapping_add(t.checkouts),
             tasks: u.tasks.wrapping_add(t.tasks),

@@ -21,7 +21,9 @@
 //!    decision's provenance is stamped into each member's
 //!    [`Telemetry`].
 //! 3. **Admission control.** A per-batch deadline is carved into
-//!    per-group slices proportional to estimated cost. Each member walks
+//!    per-group slices proportional to estimated cost. A batch with a
+//!    deadline measures no cold key: the group runs on the defaults
+//!    and the key stays cold for a batch without one. Each member walks
 //!    the guarded fallback chain from its group's backend, without
 //!    re-validating, with what remains of its group's slice as its
 //!    deadline: a panicking or starved member degrades alone.
@@ -60,13 +62,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use monge_core::guard::{CancelToken, GuardPolicy, SolveError};
+use monge_core::guard::{Attempt, AttemptOutcome, CancelToken, GuardPolicy, SolveError};
 use monge_core::problem::{Problem, Solution, Structure, Telemetry, TuningProvenance};
 use monge_core::queryindex::QueryIndex;
 use monge_core::value::Value;
 
 use crate::autotune::AutotuneKey;
 use crate::dispatch::{AutotuneDecision, Dispatcher};
+use crate::guarded::attempt;
 use crate::tuning::Tuning;
 
 /// How a batch executes: guard semantics per problem, a wall-clock
@@ -82,7 +85,9 @@ pub struct BatchPolicy {
     /// Wall-clock budget for the whole batch: admission runs under it,
     /// and it is carved into per-group slices proportional to
     /// estimated cost. A starved group degrades to
-    /// [`SolveError::DeadlineExceeded`] for its own members only.
+    /// [`SolveError::DeadlineExceeded`] for its own members only. A
+    /// batch with a deadline measures no cold key; its groups run on
+    /// the table's winners or the defaults.
     pub deadline: Option<Duration>,
     /// Explicit tuning override: members run with it and start at the
     /// grain-policy choice. `None` (the default) decides each group's
@@ -292,21 +297,43 @@ impl<T: Value> Dispatcher<T> {
                 .map(|d| CancelToken::with_deadline(d.mul_f64(cost as f64 / total_cost as f64)));
             let shed = !brute_only && policy.max_group_cost.is_some_and(|c| cost > c as u128);
             shed_groups += usize::from(shed);
+            let fallback = || AutotuneDecision {
+                tuning: policy.tuning.unwrap_or_else(Tuning::from_env),
+                backend: None,
+                provenance: TuningProvenance::Default,
+            };
             let decision = if brute_only || shed || policy.tuning.is_some() {
-                AutotuneDecision {
-                    tuning: policy.tuning.unwrap_or_else(Tuning::from_env),
-                    backend: None,
-                    provenance: TuningProvenance::Default,
-                }
+                fallback()
             } else {
                 // Members share the group's key, so one table entry
-                // covers the group.
+                // covers the group. A measurement times every candidate
+                // several times and does not fit a deadline: a batch
+                // with one serves the table's winners and leaves a cold
+                // key to the defaults. A measurement that panics (the
+                // array itself may) leaves the members to the defaults
+                // and is recorded as their first attempt.
                 let costliest = members
                     .iter()
                     .copied()
                     .max_by_key(|&i| estimated_cost(&problems[i]))
                     .expect("lane is not empty");
-                self.autotune_decision(&problems[costliest])
+                let measure = policy.deadline.is_none();
+                match attempt("autotune", None, start, &policy.guard, || {
+                    self.autotune_decision(&problems[costliest], measure)
+                }) {
+                    Ok(decision) => decision,
+                    Err(_) => {
+                        for &i in members {
+                            if let Some(guard) = telemetry[i].guard.as_mut() {
+                                guard.attempts.push(Attempt {
+                                    backend: "autotune",
+                                    outcome: AttemptOutcome::Panicked,
+                                });
+                            }
+                        }
+                        fallback()
+                    }
+                }
             };
             // A table shared with another registry may name a backend
             // this one lacks.

@@ -51,7 +51,6 @@
 //! (`default`). The chosen path is stamped into
 //! [`Telemetry::provenance`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -114,10 +113,12 @@ impl Capabilities {
 /// One solver engine behind the dispatch layer.
 ///
 /// A backend consumes the [`Problem`] IR and produces a [`Solution`],
-/// recording its phases, entry-evaluation count and (for simulators)
-/// machine counters into the [`Telemetry`] it is handed. The dispatcher
-/// stamps the identity fields, the wall clock and the solve's counts
-/// (comparisons, forked tasks, arena checkouts) around the call.
+/// recording its phases and (for simulators) machine counters into the
+/// [`Telemetry`] it is handed. It counts nothing itself: it reads the
+/// problem's arrays through [`Metered`], and the dispatcher stamps the
+/// identity fields, the wall clock and the solve's counts (entry
+/// evaluations, comparisons, forked tasks, arena checkouts) from the
+/// change in the thread's tally around the call.
 pub trait Backend<T: Value>: Send + Sync {
     /// Registry name (`"sequential"`, `"rayon"`, `"pram:tree"`, …).
     fn name(&self) -> &'static str;
@@ -234,7 +235,6 @@ impl<T: Value> Backend<T> for SequentialBackend {
                 let t1 = Instant::now();
                 let sol = Solution::Rows(RowExtrema::from_indices(&a, index));
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 sol
             }
             Problem::Staircase {
@@ -255,7 +255,6 @@ impl<T: Value> Backend<T> for SequentialBackend {
                 let t1 = Instant::now();
                 let sol = Solution::Rows(RowExtrema::from_staircase_indices(&a, boundary, index));
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 sol
             }
             Problem::Banded {
@@ -274,7 +273,6 @@ impl<T: Value> Backend<T> for SequentialBackend {
                 let t1 = Instant::now();
                 let value = banded_values(&a, &index);
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 Solution::Banded { index, value }
             }
             Problem::Tube { d, e, objective } => {
@@ -285,7 +283,6 @@ impl<T: Value> Backend<T> for SequentialBackend {
                     Objective::Maximize => tube::tube_maxima(&dm, &em),
                 };
                 telemetry.record_phase("search", t0.elapsed().as_nanos());
-                telemetry.evaluations += dm.evaluations() + em.evaluations();
                 Solution::Tube(ex)
             }
         }
@@ -355,7 +352,6 @@ impl<T: Value> Backend<T> for RayonBackend {
                 let t1 = Instant::now();
                 let sol = Solution::Rows(RowExtrema::from_indices(&a, index));
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 sol
             }
             Problem::Staircase {
@@ -368,7 +364,6 @@ impl<T: Value> Backend<T> for RayonBackend {
                 let t1 = Instant::now();
                 let sol = Solution::Rows(RowExtrema::from_staircase_indices(&a, boundary, index));
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 sol
             }
             Problem::Tube { d, e, objective } => {
@@ -379,7 +374,6 @@ impl<T: Value> Backend<T> for RayonBackend {
                     Objective::Maximize => rayon_tube::par_tube_maxima(&dm, &em),
                 };
                 telemetry.record_phase("search", t0.elapsed().as_nanos());
-                telemetry.evaluations += dm.evaluations() + em.evaluations();
                 Solution::Tube(ex)
             }
             Problem::Banded { .. } => {
@@ -480,7 +474,6 @@ impl<T: Value> Backend<T> for PramBackend {
                 let t1 = Instant::now();
                 let sol = Solution::Rows(RowExtrema::from_indices(&a, run.index));
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 sol
             }
             Problem::Staircase {
@@ -496,7 +489,6 @@ impl<T: Value> Backend<T> for PramBackend {
                 let sol =
                     Solution::Rows(RowExtrema::from_staircase_indices(&a, boundary, run.index));
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 sol
             }
             Problem::Banded {
@@ -520,7 +512,6 @@ impl<T: Value> Backend<T> for PramBackend {
                 let t1 = Instant::now();
                 let value = banded_values(&a, &index);
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 Solution::Banded { index, value }
             }
             Problem::Tube { d, e, objective } => {
@@ -532,7 +523,6 @@ impl<T: Value> Backend<T> for PramBackend {
                 };
                 telemetry.record_phase("search", t0.elapsed().as_nanos());
                 stamp(telemetry, &run.metrics);
-                telemetry.evaluations += dm.evaluations() + em.evaluations();
                 Solution::Tube(run.extrema)
             }
         }
@@ -605,15 +595,14 @@ impl<T: Value> Backend<T> for HypercubeBackend {
                 let t0 = Instant::now();
                 // Count generator evaluations: every entry the network
                 // computes goes through this closure.
-                let evals = AtomicU64::new(0);
                 let g = rank.g;
                 let run = {
                     let counting = |x: T, y: T| {
-                        evals.fetch_add(1, Ordering::Relaxed);
+                        eval::add_evaluations(1);
                         g(x, y)
                     };
                     let negating = |x: T, y: T| {
-                        evals.fetch_add(1, Ordering::Relaxed);
+                        eval::add_evaluations(1);
                         g(x, y).neg()
                     };
                     // The §1.2 dualities, in generator form: negating g
@@ -639,12 +628,10 @@ impl<T: Value> Backend<T> for HypercubeBackend {
                 };
                 telemetry.record_phase("search", t0.elapsed().as_nanos());
                 stamp_hc(telemetry, &run.metrics, &run.emulation);
-                telemetry.evaluations += evals.load(Ordering::Relaxed);
                 let t1 = Instant::now();
                 let a = Metered::new(array);
                 let sol = Solution::Rows(RowExtrema::from_indices(&a, run.index));
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 sol
             }
             Problem::Staircase {
@@ -655,23 +642,20 @@ impl<T: Value> Backend<T> for HypercubeBackend {
             } => {
                 let rank = rank.expect("hypercube staircase needs the rank form");
                 let t0 = Instant::now();
-                let evals = AtomicU64::new(0);
                 let g = rank.g;
                 let counting = |x: T, y: T| {
-                    evals.fetch_add(1, Ordering::Relaxed);
+                    eval::add_evaluations(1);
                     g(x, y)
                 };
                 let va = VectorArray::new(rank.v.to_vec(), rank.w.to_vec(), counting);
                 let run = hc_staircase::hc_staircase_row_minima(&va, boundary);
                 telemetry.record_phase("search", t0.elapsed().as_nanos());
                 stamp_hc(telemetry, &run.metrics, &run.emulation);
-                telemetry.evaluations += evals.load(Ordering::Relaxed);
                 let t1 = Instant::now();
                 let a = Metered::new(array);
                 let sol =
                     Solution::Rows(RowExtrema::from_staircase_indices(&a, boundary, run.index));
                 telemetry.record_phase("finalize", t1.elapsed().as_nanos());
-                telemetry.evaluations += a.evaluations();
                 sol
             }
             Problem::Tube { d, e, objective } => {
@@ -685,7 +669,6 @@ impl<T: Value> Backend<T> for HypercubeBackend {
                 let run = hc_tube::hc_tube_minima(&dm, &em);
                 telemetry.record_phase("search", t0.elapsed().as_nanos());
                 stamp_hc(telemetry, &run.metrics, &run.emulation);
-                telemetry.evaluations += dm.evaluations() + em.evaluations();
                 Solution::Tube(run.extrema)
             }
             Problem::Banded { .. } => {
@@ -847,13 +830,23 @@ impl<T: Value> Dispatcher<T> {
     }
 
     /// The batch layer's group decision: the winner from this
-    /// dispatcher's table, measured on a cold key; when the table has
-    /// nothing for the call, the env-seeded defaults on the
-    /// grain-policy backend.
-    pub(crate) fn autotune_decision(&self, problem: &Problem<'_, T>) -> AutotuneDecision {
+    /// dispatcher's table, measured on a cold key when `measure` is
+    /// set; when the table has nothing for the call, the env-seeded
+    /// defaults on the grain-policy backend.
+    pub(crate) fn autotune_decision(
+        &self,
+        problem: &Problem<'_, T>,
+        measure: bool,
+    ) -> AutotuneDecision {
         let (m, n) = problem.search_shape();
         if m > 0 && n > 0 {
-            match self.autotuner.begin(AutotuneKey::of(problem)) {
+            let key = AutotuneKey::of(problem);
+            let claim = if measure {
+                self.autotuner.begin(key)
+            } else {
+                self.autotuner.lookup(&key).map_or(Claim::Pass, Claim::Hit)
+            };
+            match claim {
                 Claim::Hit(w) => {
                     return AutotuneDecision {
                         tuning: w.tuning,
@@ -925,6 +918,7 @@ impl<T: Value> Dispatcher<T> {
         });
         telemetry.total_nanos = start.elapsed().as_nanos();
         let spent = state::tally().since(before);
+        telemetry.evaluations = spent.evaluations;
         telemetry.comparisons = spent.comparisons;
         telemetry.arena_checkouts = spent.checkouts;
         telemetry.tasks = spent.tasks;

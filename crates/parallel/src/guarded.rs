@@ -126,7 +126,6 @@ impl<T: Value> Backend<T> for BruteForceBackend {
                         })
                         .collect()
                 });
-                telemetry.evaluations += a.evaluations();
                 Solution::Rows(RowExtrema::from_indices(&a, index))
             }
             Problem::Staircase {
@@ -149,7 +148,6 @@ impl<T: Value> Backend<T> for BruteForceBackend {
                         })
                         .collect()
                 });
-                telemetry.evaluations += a.evaluations();
                 Solution::Rows(RowExtrema::from_staircase_indices(&a, boundary, index))
             }
             Problem::Banded {
@@ -176,7 +174,6 @@ impl<T: Value> Backend<T> for BruteForceBackend {
                         .collect()
                 });
                 let value = banded_values(&a, &index);
-                telemetry.evaluations += a.evaluations();
                 Solution::Banded { index, value }
             }
             Problem::Tube { d, e, objective } => {
@@ -186,7 +183,6 @@ impl<T: Value> Backend<T> for BruteForceBackend {
                     Objective::Minimize => tube::tube_minima_brute(&dm, &em),
                     Objective::Maximize => tube::tube_maxima_brute(&dm, &em),
                 };
-                telemetry.evaluations += dm.evaluations() + em.evaluations();
                 Solution::Tube(ex)
             }
         };

@@ -27,6 +27,7 @@ use monge_core::guard::{
 };
 use monge_core::problem::{Metered, Problem, Structure, Telemetry};
 use monge_core::queryindex::QueryIndex;
+use monge_core::state;
 use monge_core::value::Value;
 
 use crate::dispatch::Dispatcher;
@@ -113,10 +114,11 @@ impl<T: Value> Dispatcher<T> {
         }
 
         let t_build = Instant::now();
-        let metered = Metered::new(array);
+        let before = state::tally();
         let ix = attempt(QUERYINDEX, token.as_ref(), start, policy, || {
-            QueryIndex::build(&metered, structure)
+            QueryIndex::build(&Metered::new(array), structure)
         })??;
+        let evaluations = state::tally().since(before).evaluations;
         let build_nanos = t_build.elapsed().as_nanos();
         outcome.attempts.push(Attempt {
             backend: QUERYINDEX,
@@ -125,9 +127,9 @@ impl<T: Value> Dispatcher<T> {
         let mut tel = Telemetry {
             backend: QUERYINDEX,
             kind: Some(problem.kind()),
+            evaluations,
             ..Telemetry::default()
         };
-        tel.evaluations = metered.evaluations();
         tel.record_phase("index_build", build_nanos);
         tel.total_nanos = start.elapsed().as_nanos();
         tel.index_builds = 1;

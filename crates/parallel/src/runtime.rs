@@ -190,6 +190,7 @@ mod tests {
     use monge_core::array2d::{Dense, FnArray};
     use monge_core::guard::{checkpoint, with_cancellation, CancelToken, Cancelled};
     use monge_core::kernel::{self, with_kernel, Kernel};
+    use monge_core::problem::Metered;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Runs `f` inside a 2-thread pool, where forks spawn real threads,
@@ -254,11 +255,19 @@ mod tests {
 
     #[test]
     fn forked_counts_reach_the_joiner_exactly_once() {
+        // Each side reads three entries of a metered array: one `entry`
+        // and a two-entry `fill_row`.
+        let a = Metered::new(Dense::tabulate(2, 4, |i, j| (i * 4 + j) as i64));
         let work = || {
-            with_scratch(|_: &mut Vec<u8>| ());
+            with_scratch(|buf: &mut Vec<i64>| {
+                buf.resize(2, 0);
+                a.fill_row(1, 1..3, buf);
+            });
+            std::hint::black_box(a.entry(0, 3));
             eval::add_comparisons(5);
         };
-        let counts = |comparisons, checkouts, tasks| Tally {
+        let counts = |evaluations, comparisons, checkouts, tasks| Tally {
+            evaluations,
             comparisons,
             checkouts,
             tasks,
@@ -266,13 +275,13 @@ mod tests {
         in_both_pools(|| {
             let before = state::tally();
             join(work, work);
-            assert_eq!(state::tally().since(before), counts(10, 2, 2));
+            assert_eq!(state::tally().since(before), counts(6, 10, 2, 2));
             let before = state::tally();
             join(|| (), || join(work, work));
-            assert_eq!(state::tally().since(before), counts(10, 2, 4));
+            assert_eq!(state::tally().since(before), counts(6, 10, 2, 4));
             let before = state::tally();
             par_map((0..4).collect(), |_| work());
-            assert_eq!(state::tally().since(before), counts(20, 4, 4));
+            assert_eq!(state::tally().since(before), counts(12, 20, 4, 4));
         });
     }
 

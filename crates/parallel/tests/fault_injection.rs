@@ -11,13 +11,18 @@
 //!   telemetry;
 //! * fallback results match the sequential reference.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use monge_core::array2d::{Array2d, Dense};
 use monge_core::generators::{apply_staircase, random_monge_dense, random_staircase_boundary};
-use monge_core::guard::{FaultInjector, FaultPlan, GuardPolicy, SolveError};
-use monge_core::problem::{Problem, Solution, Telemetry};
-use monge_parallel::{Backend, BatchPolicy, BruteForceBackend, Dispatcher, Tuning};
+use monge_core::guard::{AttemptOutcome, FaultInjector, FaultPlan, GuardPolicy, SolveError};
+use monge_core::problem::{Problem, Solution, Telemetry, TuningProvenance};
+use monge_core::state;
+use monge_parallel::{
+    AutotuneKey, AutotuneMode, Autotuner, Backend, BatchPolicy, BruteForceBackend, Dispatcher,
+    Tuning,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -247,6 +252,133 @@ fn validation_honours_the_deadline() {
 }
 
 #[test]
+fn a_cold_batch_decision_honours_the_deadline() {
+    let f = one_ms_reads();
+    let p = Problem::row_minima(&f);
+    let tuner = Arc::new(Autotuner::in_memory(AutotuneMode::On));
+    let d = Dispatcher::with_default_backends().with_autotuner(Arc::clone(&tuner));
+    let budget = Duration::from_millis(5);
+    let t0 = Instant::now();
+    let report = d.solve_batch_report(&[p], &BatchPolicy::default().with_deadline(budget));
+    let took = t0.elapsed();
+    match &report.results[0] {
+        Err(SolveError::DeadlineExceeded { deadline, .. }) => assert_eq!(*deadline, budget),
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    assert!(
+        took < Duration::from_millis(200),
+        "the batch overran a 5 ms deadline: {took:?}"
+    );
+    assert!(
+        tuner.lookup(&AutotuneKey::of(&p)).is_none(),
+        "a deadline batch measures nothing"
+    );
+    // A batch without a deadline measures the key.
+    let report = d.solve_batch_report(&[p], &BatchPolicy::default());
+    assert_eq!(
+        report.results[0].as_ref().map(|s| s.rows().index.clone()),
+        Ok(scan_row_minima(&monge_16()))
+    );
+    assert_eq!(
+        report.telemetry[0].provenance,
+        Some(TuningProvenance::Measured)
+    );
+    assert!(tuner.lookup(&AutotuneKey::of(&p)).is_some());
+}
+
+#[test]
+fn deadline_batches_on_a_cold_key_solve_without_measuring() {
+    // One solve reads ~100 entries at 1 ms each and fits the budget;
+    // measuring the key (every candidate timed several times) would not.
+    let f = one_ms_reads();
+    let p = Problem::row_minima(&f);
+    let reference = scan_row_minima(&monge_16());
+    let tuner = Arc::new(Autotuner::in_memory(AutotuneMode::On));
+    let d = Dispatcher::with_default_backends().with_autotuner(Arc::clone(&tuner));
+    let policy = BatchPolicy::default().with_deadline(Duration::from_millis(500));
+    for batch in 0..2 {
+        let report = d.solve_batch_report(&[p], &policy);
+        assert_eq!(
+            report.results[0].as_ref().map(|s| s.rows().index.clone()),
+            Ok(reference.clone()),
+            "deadline batch {batch}"
+        );
+        assert_eq!(
+            report.telemetry[0].provenance,
+            Some(TuningProvenance::Default)
+        );
+    }
+    assert_eq!(tuner.measurements(), 0, "a deadline batch never measures");
+    assert!(tuner.lookup(&AutotuneKey::of(&p)).is_none());
+}
+
+#[test]
+fn a_panicking_batch_decision_leaves_members_to_the_defaults() {
+    let base = monge_16();
+    let reference = scan_row_minima(&base);
+    // One transient panic, spent by the cold key's measurement.
+    let f = FaultInjector::new(base, FaultPlan::none(2).panics(1000).panic_budget(1), 0i64);
+    let p = Problem::row_minima(&f);
+    let tuner = Arc::new(Autotuner::in_memory(AutotuneMode::On));
+    let d = Dispatcher::with_default_backends().with_autotuner(Arc::clone(&tuner));
+    let report = d.solve_batch_report(&[p], &BatchPolicy::default());
+    assert_eq!(
+        report.results[0].as_ref().map(|s| s.rows().index.clone()),
+        Ok(reference)
+    );
+    let tel = &report.telemetry[0];
+    assert_eq!(tel.provenance, Some(TuningProvenance::Default));
+    let guard = tel.guard.as_ref().expect("batch members stamp an outcome");
+    // The measurement's panic is recorded; the member itself ran clean.
+    assert_eq!(
+        guard
+            .attempts
+            .iter()
+            .map(|a| (a.backend, a.outcome))
+            .collect::<Vec<_>>(),
+        [
+            ("autotune", AttemptOutcome::Panicked),
+            (guard.attempts[1].backend, AttemptOutcome::Completed)
+        ]
+    );
+    assert!(
+        tuner.lookup(&AutotuneKey::of(&p)).is_none(),
+        "a measurement that panicked records no winner"
+    );
+}
+
+#[test]
+fn smawk_honours_the_deadline_inside_a_level() {
+    // One SMAWK level of a 256×256 array reads at least 512 entries.
+    let f = FaultInjector::new(
+        Dense::tabulate(256, 256, |i, j| {
+            let d = i as i64 - j as i64;
+            d * d
+        }),
+        FaultPlan::none(9).latency(1000, Duration::from_millis(1)),
+        0i64,
+    );
+    let budget = Duration::from_millis(5);
+    let policy = GuardPolicy::default().with_deadline(budget);
+    let t0 = Instant::now();
+    let r = Dispatcher::with_default_backends().solve_guarded_on(
+        "sequential",
+        &Problem::row_minima(&f),
+        &policy,
+        Tuning::DEFAULT,
+    );
+    let took = t0.elapsed();
+    match r {
+        Err(SolveError::DeadlineExceeded { deadline, .. }) => assert_eq!(deadline, budget),
+        other => panic!("expected DeadlineExceeded, got {:?}", other.map(|_| ())),
+    }
+    assert!(
+        took < Duration::from_millis(200),
+        "SMAWK overran a 5 ms deadline: {took:?}"
+    );
+}
+
+#[test]
 fn clean_instances_solve_without_degradation() {
     let base = monge_16();
     let d = Dispatcher::with_default_backends();
@@ -272,9 +404,12 @@ fn brute_terminal_matches_sequential_on_every_problem_kind() {
         let (seq, _) = d
             .solve_on("sequential", problem, t)
             .expect("sequential is total");
-        let mut tel = Telemetry::default();
-        let brute = BruteForceBackend.solve(problem, &t, &mut tel);
-        assert!(tel.evaluations > 0, "brute must meter its entry reads");
+        let before = state::tally();
+        let brute = BruteForceBackend.solve(problem, &t, &mut Telemetry::default());
+        assert!(
+            state::tally().since(before).evaluations > 0,
+            "brute must meter its entry reads"
+        );
         (seq, brute)
     };
 

@@ -3,8 +3,10 @@
 //! 2-thread pool. One runs with a deadline that fires mid-solve (a
 //! latency-injected array) and `Kernel::Scalar`; the other with no
 //! deadline and `Kernel::Auto`. Neither sees the other's deadline or
-//! kernel pin, and every completed solve reports exactly the
-//! comparisons, tasks and arena checkouts it reports when run alone.
+//! kernel pin, and every completed solve reports exactly the entry
+//! evaluations, comparisons, tasks and arena checkouts it reports when
+//! run alone. A forking solve also counts the same work on two threads
+//! as on one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -25,16 +27,16 @@ fn monge(n: usize, seed: u64) -> Dense<i64> {
     random_monge_dense(n, n, &mut StdRng::seed_from_u64(seed))
 }
 
-fn in_pool2<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
+        .num_threads(threads)
         .build()
         .expect("the pool builder never fails")
         .install(f)
 }
 
-fn counts(t: &Telemetry) -> [u64; 3] {
-    [t.comparisons, t.tasks, t.arena_checkouts]
+fn counts(t: &Telemetry) -> [u64; 4] {
+    [t.evaluations, t.comparisons, t.tasks, t.arena_checkouts]
 }
 
 /// One guarded solve on a dispatcher of its own (breakers are
@@ -71,15 +73,15 @@ fn concurrent_solves_keep_their_deadlines_kernels_and_counts() {
     let free = GuardPolicy::default();
 
     // Each solve alone, forking in a 2-thread pool like the race below.
-    let alone_small = in_pool2(|| counts(&solve(&small_p, &generous, scalar).unwrap().1));
-    let alone_large = in_pool2(|| counts(&solve(&large_p, &free, auto).unwrap().1));
+    let alone_small = in_pool(2, || counts(&solve(&small_p, &generous, scalar).unwrap().1));
+    let alone_large = in_pool(2, || counts(&solve(&large_p, &free, auto).unwrap().1));
     let unpinned = kernel::selected();
 
     let start = Barrier::new(2);
     let deadline_done = AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| {
-            in_pool2(|| {
+            in_pool(2, || {
                 start.wait();
                 for round in 0..ROUNDS {
                     match solve(&slow_p, &tight, scalar) {
@@ -98,7 +100,7 @@ fn concurrent_solves_keep_their_deadlines_kernels_and_counts() {
             });
         });
         s.spawn(|| {
-            in_pool2(|| {
+            in_pool(2, || {
                 start.wait();
                 let mut solves = 0;
                 while solves == 0 || !deadline_done.load(Ordering::Relaxed) {
@@ -111,4 +113,35 @@ fn concurrent_solves_keep_their_deadlines_kernels_and_counts() {
             });
         });
     });
+}
+
+#[test]
+fn forked_solves_count_like_one_thread() {
+    // Grains this small make every rayon engine fork.
+    let fine = Tuning {
+        seq_rows: 4,
+        seq_scan: 8,
+        tube_seq_planes: 2,
+        ..Tuning::DEFAULT
+    };
+    let (a, d, e) = (monge(96, 4), monge(24, 5), monge(24, 6));
+    let boundary: Vec<usize> = (0..96).map(|i| 96 - i / 2).collect();
+    let problems = [
+        Problem::row_minima(&a),
+        Problem::staircase_row_minima(&a, &boundary),
+        Problem::tube_minima(&d, &e),
+    ];
+    let dispatcher = Dispatcher::with_default_backends();
+    let solve_in = |threads: usize, p: &Problem<'_, i64>| {
+        let tel = in_pool(threads, || dispatcher.solve_on("rayon", p, fine))
+            .expect("rayon takes rows, staircase and tube problems")
+            .1;
+        [tel.evaluations, tel.comparisons, tel.tasks]
+    };
+    for p in &problems {
+        let two = solve_in(2, p);
+        assert!(two[2] > 0, "{:?} did not fork", p.kind());
+        assert!(two[0] > 0, "{:?} evaluated nothing", p.kind());
+        assert_eq!(two, solve_in(1, p), "{:?}: two threads vs one", p.kind());
+    }
 }
