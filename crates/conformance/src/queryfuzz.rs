@@ -16,12 +16,18 @@
 //! Rectangle batches always include the historical troublemakers: 1×1
 //! cells, the full array, single rows, single columns, and
 //! boundary-hugging rectangles pinned to each array edge.
+//!
+//! Every instance is indexed twice ([`build_both`]): once over its
+//! [`Dense`] array, whose buffer the index shares, and once through a
+//! wrapper that hides [`Array2d::as_dense`], so the index copies the
+//! rows. Both indexes must match the brute scan, and so each other.
 
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use monge_core::array2d::{Array2d, Dense};
+use monge_core::guard::SolveError;
 use monge_core::monge::{check_inverse_monge, check_monge};
 use monge_core::problem::Structure;
 use monge_core::queryindex::{QueryAnswer, QueryIndex};
@@ -280,23 +286,60 @@ pub fn brute_query(a: &Dense<i64>, rect: Rect, maximize: bool) -> QueryAnswer<i6
     best.expect("non-empty rectangle")
 }
 
-/// Does the index disagree with the brute oracle on `(inst, rect,
-/// maximize)`? Rebuilds the index from scratch — the shrinker's
-/// predicate, where every candidate array is a fresh preprocessing
-/// problem.
-pub fn query_disagrees(inst: &QueryInstance, rect: Rect, maximize: bool) -> bool {
-    let Ok(ix) = QueryIndex::build(&inst.a, inst.structure) else {
-        return false;
-    };
+/// A dense array seen through everything but [`Array2d::as_dense`]:
+/// an index built over it copies the rows instead of sharing them.
+struct Copied<'a>(&'a Dense<i64>);
+
+impl Array2d<i64> for Copied<'_> {
+    fn rows(&self) -> usize {
+        self.0.rows()
+    }
+    fn cols(&self) -> usize {
+        self.0.cols()
+    }
+    fn entry(&self, i: usize, j: usize) -> i64 {
+        self.0.entry(i, j)
+    }
+    fn fill_row(&self, i: usize, cols: Range<usize>, out: &mut [i64]) {
+        self.0.fill_row(i, cols, out);
+    }
+    fn row_view(&self, i: usize, cols: Range<usize>) -> Option<&[i64]> {
+        self.0.row_view(i, cols)
+    }
+}
+
+/// The two indexes over `inst`: `[shared, copied]`, the first sharing
+/// the array's buffer, the second over a copy of its rows.
+///
+/// # Errors
+///
+/// As for [`QueryIndex::build`].
+pub fn build_both(inst: &QueryInstance) -> Result<[QueryIndex<i64>; 2], SolveError> {
+    Ok([
+        QueryIndex::build(&inst.a, inst.structure)?,
+        QueryIndex::build(&Copied(&inst.a), inst.structure)?,
+    ])
+}
+
+fn answer(ix: &QueryIndex<i64>, rect: Rect, maximize: bool) -> Option<QueryAnswer<i64>> {
     let got = if maximize {
         ix.query_max(rect.rows(), rect.cols())
     } else {
         ix.query_min(rect.rows(), rect.cols())
     };
-    match got {
-        Ok(got) => got != brute_query(&inst.a, rect, maximize),
-        Err(_) => true,
-    }
+    got.ok()
+}
+
+/// Does either index of [`build_both`] disagree with the brute oracle
+/// on `(inst, rect, maximize)`? Rebuilds both from scratch — the
+/// shrinker's predicate, where every candidate array is a fresh
+/// preprocessing problem.
+pub fn query_disagrees(inst: &QueryInstance, rect: Rect, maximize: bool) -> bool {
+    let Ok(indexes) = build_both(inst) else {
+        return false;
+    };
+    let want = Some(brute_query(&inst.a, rect, maximize));
+    indexes.iter().any(|ix| answer(ix, rect, maximize) != want)
 }
 
 /// One confirmed index/brute disagreement, already shrunk.
@@ -335,10 +378,11 @@ pub fn query_fuzz_budget(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Runs `budget` seeded arrays of `family`, each under a seeded
-/// rectangle batch, diffing every `query_min` and `query_max` against
-/// [`brute_query`] and shrinking each mismatch to a minimal `(array,
-/// rectangle)` pair. Seeds are `base_seed + i`, so a report's
+/// Runs `budget` seeded arrays of `family`, each indexed through both
+/// row stores ([`build_both`]) and queried with a seeded rectangle
+/// batch, diffing every `query_min` and `query_max` of both indexes
+/// against [`brute_query`] and shrinking each mismatch to a minimal
+/// `(array, rectangle)` pair. Seeds are `base_seed + i`, so a report's
 /// `(family, seed)` pair replays exactly.
 pub fn fuzz_query_family(family: &'static str, budget: usize, base_seed: u64) -> QueryFuzzReport {
     let mut report = QueryFuzzReport::default();
@@ -347,21 +391,16 @@ pub fn fuzz_query_family(family: &'static str, budget: usize, base_seed: u64) ->
         let inst = query_array(family, seed);
         let mut r = SplitMix64::new(seed ^ 0xA5A5_5A5A_F00D_BEEF);
         let rects = sample_rects(inst.a.rows(), inst.a.cols(), &mut r, 8);
-        let ix = match QueryIndex::build(&inst.a, inst.structure) {
-            Ok(ix) => ix,
+        let indexes = match build_both(&inst) {
+            Ok(indexes) => indexes,
             Err(e) => panic!("{family} seed {seed}: index build refused a valid array: {e}"),
         };
         report.arrays += 1;
         for &rect in &rects {
             for maximize in [false, true] {
                 report.queries += 1;
-                let got = if maximize {
-                    ix.query_max(rect.rows(), rect.cols())
-                } else {
-                    ix.query_min(rect.rows(), rect.cols())
-                };
-                let want = brute_query(&inst.a, rect, maximize);
-                if got.as_ref().ok() == Some(&want) {
+                let want = Some(brute_query(&inst.a, rect, maximize));
+                if indexes.iter().all(|ix| answer(ix, rect, maximize) == want) {
                     continue;
                 }
                 let (shrunk, srect) = shrink_query(&inst, rect, |cand, cand_rect| {
@@ -658,9 +697,9 @@ pub fn save_query(
 }
 
 /// Replays one `.qcorpus` file: parses it, re-checks the structural
-/// promise, rebuilds the index, and diffs `query_min` and `query_max`
-/// over the stored rectangle against the brute scan. `Ok(())` means
-/// conformant.
+/// promise, rebuilds both indexes ([`build_both`]), and diffs their
+/// `query_min` and `query_max` over the stored rectangle against the
+/// brute scan. `Ok(())` means conformant.
 pub fn replay_query_file(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let (inst, rect) = parse_query(&text).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -789,6 +828,20 @@ mod tests {
         assert_eq!(shrunk.a.rows() * shrunk.a.cols(), 6);
         assert_eq!(srect.area(), 2);
         assert!(shrunk.valid(), "shrinking broke the structural promise");
+    }
+
+    #[test]
+    fn both_store_paths_are_built() {
+        let inst = query_array("monge-wide", 5);
+        let [shared, copied] = build_both(&inst).unwrap();
+        assert!(Copied(&inst.a).as_dense().is_none());
+        let cells = (inst.a.rows() * inst.a.cols() * std::mem::size_of::<i64>()) as u64;
+        assert_eq!(
+            copied.bytes() - shared.bytes(),
+            cells,
+            "only one store copies"
+        );
+        assert_eq!(shared.breakpoints(), copied.breakpoints());
     }
 
     #[test]

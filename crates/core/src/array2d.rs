@@ -15,6 +15,7 @@
 
 use crate::value::Value;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A lazily evaluated `rows() × cols()` array of values.
 ///
@@ -80,6 +81,19 @@ pub trait Array2d<T: Value>: Sync {
         false
     }
 
+    /// This array as [`Dense`] storage when it is one, else `None`.
+    ///
+    /// A caller that wants to keep the rows — the query index's row
+    /// store — clones the answer, which shares the buffer instead of
+    /// copying it. [`Dense`] answers itself, and references and
+    /// [`crate::problem::Metered`] forward the inner answer; every
+    /// other array keeps the default `None`. An implementation that
+    /// answers must serve [`Array2d::row_view`] for every full row,
+    /// with the values of the [`Dense`] it returns.
+    fn as_dense(&self) -> Option<&Dense<T>> {
+        None
+    }
+
     /// Materializes the array into dense row-major storage.
     fn to_dense(&self) -> Dense<T>
     where
@@ -124,14 +138,21 @@ impl<T: Value, A: Array2d<T> + ?Sized> Array2d<T> for &A {
     fn prefers_streaming(&self) -> bool {
         (**self).prefers_streaming()
     }
+    fn as_dense(&self) -> Option<&Dense<T>> {
+        (**self).as_dense()
+    }
 }
 
 /// Dense row-major storage.
+///
+/// The rows live in one reference-counted buffer: `clone` is `O(1)`
+/// and shares it, and [`Dense::set`] copies the buffer first when it is
+/// shared (copy on write), so a clone never sees another's writes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Dense<T> {
     rows: usize,
     cols: usize,
-    data: Vec<T>,
+    data: Arc<Vec<T>>,
 }
 
 impl<T: Value> Dense<T> {
@@ -144,7 +165,11 @@ impl<T: Value> Dense<T> {
             "dense array data length {} != {rows} x {cols}",
             data.len()
         );
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: Arc::new(data),
+        }
     }
 
     /// Creates a dense array from nested rows (convenient in tests).
@@ -175,10 +200,11 @@ impl<T: Value> Dense<T> {
         Self::from_vec(rows, cols, data)
     }
 
-    /// Mutable access to an entry.
+    /// Mutable access to an entry. Copies the buffer first when a clone
+    /// (or a query index built over this array) shares it.
     pub fn set(&mut self, i: usize, j: usize, v: T) {
         assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j] = v;
+        Arc::make_mut(&mut self.data)[i * self.cols + j] = v;
     }
 
     /// Underlying row-major data.
@@ -215,6 +241,9 @@ impl<T: Value> Array2d<T> for Dense<T> {
     fn row_view(&self, i: usize, cols: Range<usize>) -> Option<&[T]> {
         let base = i * self.cols;
         Some(&self.data[base + cols.start..base + cols.end])
+    }
+    fn as_dense(&self) -> Option<&Dense<T>> {
+        Some(self)
     }
 }
 
@@ -668,6 +697,26 @@ mod tests {
         assert!(ReverseCols(&a).row_view(0, 0..6).is_none());
         let f = FnArray::new(2, 2, |i, j| (i + j) as i64);
         assert!(f.row_view(0, 0..2).is_none());
+    }
+
+    #[test]
+    fn clone_shares_rows_and_set_copies_on_write() {
+        let a = sample();
+        let mut b = a.clone();
+        assert_eq!(b.data().as_ptr(), a.data().as_ptr(), "a clone shares");
+        b.set(0, 1, 20);
+        assert_ne!(b.data().as_ptr(), a.data().as_ptr());
+        assert_eq!(a.row_slice(0), &[1, 2, 3], "the original is unchanged");
+        assert_eq!(b.row_slice(0), &[1, 20, 3]);
+        // A buffer nobody shares is written in place.
+        let before = b.data().as_ptr();
+        b.set(1, 2, 60);
+        assert_eq!(b.data().as_ptr(), before);
+        // Dense answers `as_dense`; references forward; views decline.
+        assert!(std::ptr::eq(a.as_dense().unwrap(), &a));
+        assert!(std::ptr::eq((&&a).as_dense().unwrap(), &a));
+        assert!(SubArray::new(&a, 0..2, 0..3).as_dense().is_none());
+        assert!(ReverseRows(&a).as_dense().is_none());
     }
 
     #[test]

@@ -61,8 +61,8 @@
 //!   §1.2 Min/Max duality lowering ([`problem::lower_rows`]) that the
 //!   `monge-parallel` backend registry consumes.
 //! * [`queryindex`] — build-once / query-many submatrix serving: a
-//!   segment tree of SMAWK-computed breakpoint envelopes answering
-//!   rectangle min/max queries with zero source-array evaluations
+//!   segment tree of merged breakpoint envelopes answering rectangle
+//!   min/max queries with zero source-array evaluations
 //!   ([`queryindex::QueryIndex`]).
 
 // The only unsafe code in this workspace's libraries is the AVX2

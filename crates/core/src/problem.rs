@@ -19,7 +19,7 @@
 //! implementation that every backend shares, instead of each engine
 //! hand-rolling its own reverse/negate/mirror plumbing.
 
-use crate::array2d::{Array2d, Negate, ReverseCols};
+use crate::array2d::{Array2d, Dense, Negate, ReverseCols};
 use crate::eval::add_evaluations;
 use crate::smawk::RowExtrema;
 use crate::tiebreak::Tie;
@@ -637,8 +637,10 @@ pub struct Telemetry {
     /// Index-handle cache hits: requests served by reusing an already
     /// built [`crate::queryindex::QueryIndex`] instead of rebuilding.
     pub index_hits: u64,
-    /// Approximate heap bytes of the indexes built (store, summaries,
-    /// envelopes and sparse tables).
+    /// Approximate heap bytes the built indexes allocated
+    /// ([`crate::queryindex::QueryIndex::bytes`]: summaries, envelopes
+    /// and sparse tables, plus row copies of non-`Dense` sources). Rows
+    /// an index shares with a `Dense` source are not counted.
     pub index_bytes: u64,
     /// Breakpoint segments stored across the built indexes' envelopes.
     pub index_breakpoints: u64,
@@ -765,7 +767,10 @@ impl Telemetry {
 /// work — `Metered` forwards the zero-copy tier and counts the viewed
 /// elements, so wrapping a dense array for telemetry does not demote it
 /// to the copy path. The count is therefore "entries made available to
-/// the engine", an upper bound on entries actually compared.
+/// the engine", an upper bound on entries actually compared. It also
+/// forwards [`Array2d::as_dense`], which reads nothing: a query index
+/// built through `Metered` shares a dense source's rows and reads each
+/// of them once through `row_view`, so the build still counts `m·n`.
 pub struct Metered<A> {
     inner: A,
 }
@@ -801,12 +806,14 @@ impl<T: Value, A: Array2d<T>> Array2d<T> for Metered<A> {
     fn prefers_streaming(&self) -> bool {
         self.inner.prefers_streaming()
     }
+    fn as_dense(&self) -> Option<&Dense<T>> {
+        self.inner.as_dense()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array2d::Dense;
     use crate::monge::{brute_row_maxima, brute_row_minima};
     use crate::smawk::row_minima_totally_monotone;
 

@@ -23,19 +23,37 @@
 //! any run of *whole* segments in `O(1)`. A query decomposes its row
 //! range into `O(lg m)` canonical nodes; inside each node a predecessor
 //! search over the breakpoint starts locates the at-most-two *partial*
-//! boundary segments, which are finished from the index's own row store
-//! (dense copy of the array plus 64-wide block min/max summaries).
+//! boundary segments, which are finished from the index's row store.
 //! Queries therefore evaluate **zero** source-array entries, and cost
 //! `O(lg m · (lg n + B))` store reads each.
 //!
-//! The build evaluates each source entry exactly once, filling the row
-//! store (`m·n` copies plus one summary pass over the copy); merges read
-//! only the store. A merge into a node of `s` segments costs
-//! `O(lg n · lg s + s lg s)` plus `O(B + n/B)` reads per cut segment, so
-//! the fill dominates. Stores holding `±∞` sentinels merge column by
-//! column: `O(n)` per node. Build loops call
+//! ## Row store
+//!
+//! The store holds the source's rows plus 64-wide block min/max
+//! summaries. A [`Dense`] source is not copied: the store keeps a
+//! handle on its reference-counted buffer (found through
+//! [`Array2d::as_dense`], which `&Dense` and
+//! [`crate::problem::Metered`] forward). The index stays an owning
+//! `'static` value, and a later [`Dense::set`] on the caller's array
+//! copies on write, so the index keeps answering for the array it was
+//! built over. Every other source is copied row by row through
+//! [`Array2d::fill_row`].
+//!
+//! ## Cost
+//!
+//! The build evaluates each source entry exactly once: a shared row is
+//! read through the source's [`Array2d::row_view`] by the summary pass,
+//! a copied row by `fill_row` (the summary pass then reads the copy).
+//! Merges read only the store. A merge into a node of `s` segments
+//! costs `O(lg n · lg s + s lg s)` plus `O(B + n/B)` reads per cut
+//! segment, so the `m·n` row pass dominates. Stores holding `±∞`
+//! sentinels merge column by column: `O(n)` per node. Build loops call
 //! [`crate::guard::checkpoint`], so guarded builds honor deadlines and
-//! cancellation.
+//! cancellation. [`QueryIndex::bytes`] counts what the index allocated:
+//! summaries, envelopes and tables, plus the rows only when it copied
+//! them.
+//!
+//! ## Example
 //!
 //! ```
 //! use monge_core::array2d::Dense;
@@ -120,11 +138,14 @@ fn fold<T: Value>(acc: &mut Option<Cand<T>>, cand: Cand<T>, objective: Objective
     }
 }
 
-/// Dense copy of the source array plus 64-wide per-block min/max
-/// summaries (value + leftmost attaining column). All query-time value
-/// reads come from here, never from the source array.
+/// The source's rows plus 64-wide per-block min/max summaries (value +
+/// leftmost attaining column). A [`Dense`] source's buffer is shared;
+/// any other source is copied. All query-time value reads come from
+/// here, never from the source array.
 struct RowStore<T> {
     dense: Dense<T>,
+    /// Did the build copy the rows (a non-[`Dense`] source)?
+    copied: bool,
     blocks_per_row: usize,
     bmin: Vec<T>,
     bmin_col: Vec<u32>,
@@ -142,12 +163,16 @@ struct RowStore<T> {
 impl<T: Value> RowStore<T> {
     fn build(array: &dyn Array2d<T>) -> Self {
         let (m, n) = (array.rows(), array.cols());
-        let mut data = vec![T::ZERO; m * n];
-        for (i, row) in data.chunks_mut(n).enumerate() {
-            checkpoint();
-            array.fill_row(i, 0..n, row);
-        }
-        let dense = Dense::from_vec(m, n, data);
+        let shared = array.as_dense().cloned();
+        let copied = shared.is_none();
+        let dense = shared.unwrap_or_else(|| {
+            let mut data = vec![T::ZERO; m * n];
+            for (i, row) in data.chunks_mut(n).enumerate() {
+                checkpoint();
+                array.fill_row(i, 0..n, row);
+            }
+            Dense::from_vec(m, n, data)
+        });
         let blocks_per_row = n.div_ceil(BLOCK);
         let mut bmin = Vec::with_capacity(m * blocks_per_row);
         let mut bmin_col = Vec::with_capacity(m * blocks_per_row);
@@ -156,7 +181,15 @@ impl<T: Value> RowStore<T> {
         let mut infinite = false;
         for i in 0..m {
             checkpoint();
-            let row = dense.row_view(i, 0..n).expect("dense rows are contiguous");
+            // A shared row is read through the source, so that the
+            // source's evaluation count sees each entry once.
+            let row = if copied {
+                dense.row_slice(i)
+            } else {
+                array
+                    .row_view(i, 0..n)
+                    .expect("an `as_dense` source serves every row")
+            };
             for (b, chunk) in row.chunks(BLOCK).enumerate() {
                 let base = (b * BLOCK) as u32;
                 let (mut lo, mut lo_col) = (chunk[0], base);
@@ -181,6 +214,7 @@ impl<T: Value> RowStore<T> {
         }
         RowStore {
             dense,
+            copied,
             blocks_per_row,
             bmin,
             bmin_col,
@@ -250,9 +284,15 @@ impl<T: Value> RowStore<T> {
         best.expect("non-empty scan")
     }
 
+    /// Bytes the store allocated: the summaries, plus the cells when it
+    /// copied them (a shared buffer belongs to the source).
     fn bytes(&self) -> u64 {
         let t = std::mem::size_of::<T>() as u64;
-        let cells = (self.dense.rows() * self.dense.cols()) as u64;
+        let cells = if self.copied {
+            (self.dense.rows() * self.dense.cols()) as u64
+        } else {
+            0
+        };
         let blocks = self.bmin.len() as u64;
         cells * t + blocks * (2 * t + 8)
     }
@@ -548,8 +588,9 @@ impl<T: Value> std::fmt::Debug for QueryIndex<T> {
 impl<T: Value> QueryIndex<T> {
     /// Preprocesses `array` for rectangle min/max serving.
     ///
-    /// The build evaluates each source entry exactly once (the row-store
-    /// fill), then builds the segment tree bottom-up, deriving each
+    /// The build evaluates each source entry exactly once (the row
+    /// store shares a [`Dense`] source's buffer and copies any other
+    /// source), then builds the segment tree bottom-up, deriving each
     /// internal node's envelopes from its children's with one crossover
     /// search per objective; see the [module docs](self) for the costs.
     /// Loops call [`checkpoint`], so a guarded caller's deadline or
@@ -734,8 +775,10 @@ impl<T: Value> QueryIndex<T> {
         self.visit(nd.right, rows, cols, objective, best, probes);
     }
 
-    /// Approximate heap footprint of the index (store, summaries,
-    /// envelopes, and sparse tables), in bytes.
+    /// Approximate heap bytes the index allocated: block summaries,
+    /// envelopes and sparse tables, plus the row copy when the build
+    /// made one. Rows shared with a [`Dense`] source are not counted:
+    /// that buffer belongs to the source (the index keeps it alive).
     pub fn bytes(&self) -> u64 {
         let envs: u64 = self
             .nodes

@@ -1,8 +1,9 @@
 //! Edge-case suite for the submatrix [`QueryIndex`]: degenerate
 //! shapes, all-equal plateaus (tie-break stability across the
-//! canonical-node stitch), `+∞` staircase sentinels, and the
+//! canonical-node stitch), `+∞` staircase sentinels, the
 //! evaluation-accounting contract — the build reads each source entry
-//! exactly once and queries read the source **zero** times.
+//! exactly once and queries read the source **zero** times — and the
+//! two row stores: shared with a [`Dense`] source, or copied.
 
 use monge_core::array2d::{Array2d, Dense};
 use monge_core::eval::CountingArray;
@@ -152,10 +153,11 @@ fn inf_staircase_sentinels_answer_every_rect() {
     assert_eq!((ans.value, ans.row, ans.col), (inf, 0, 4));
 }
 
-/// The evaluation-accounting contract. Build: exactly `m·n` source
-/// reads — the store copy is the only pass over the source; every
-/// envelope merge reads the store. Queries: **zero** source reads, no
-/// matter how many rectangles are answered.
+/// The evaluation-accounting contract, on the copied store
+/// (`CountingArray` does not answer `as_dense`). Build: exactly `m·n`
+/// source reads — the store copy is the only pass over the source;
+/// every envelope merge reads the store. Queries: **zero** source
+/// reads, no matter how many rectangles are answered.
 #[test]
 fn build_reads_each_entry_once_and_queries_read_nothing() {
     let (m, n) = (37, 143); // straddles the 64-wide block summaries
@@ -177,6 +179,84 @@ fn build_reads_each_entry_once_and_queries_read_nothing() {
         (m * n) as u64,
         "queries must never touch the source array"
     );
+}
+
+/// A shared store keeps the rows the index was built over: `set` on
+/// the caller's array copies on write and changes no answer.
+#[test]
+fn set_on_the_source_after_a_build_changes_no_answer() {
+    let (m, n) = (9, 140); // wide enough for the block summaries
+    let mut a = monge(m, n);
+    let ix = QueryIndex::build(&a, Structure::Monge).unwrap();
+    let rects = [
+        (0..m, 0..n),
+        (2..7, 3..130),
+        (4..5, 60..61),
+        (1..9, 70..140),
+    ];
+    let answers = |ix: &QueryIndex<i64>| -> Vec<QueryAnswer<i64>> {
+        rects
+            .iter()
+            .flat_map(|(r, c)| {
+                [
+                    ix.query_min(r.clone(), c.clone()).unwrap(),
+                    ix.query_max(r.clone(), c.clone()).unwrap(),
+                ]
+            })
+            .collect()
+    };
+    let before = answers(&ix);
+    let want: Vec<_> = rects
+        .iter()
+        .flat_map(|(r, c)| {
+            [false, true].map(|max| {
+                let (value, row, col) = brute(&a, r.start, r.end, c.start, c.end, max);
+                QueryAnswer { value, row, col }
+            })
+        })
+        .collect();
+    assert_eq!(before, want);
+    let rows_at_build = a.data().as_ptr();
+    for i in 0..m {
+        for j in 0..n {
+            let v = if (i + j) % 2 == 0 {
+                -1_000_000
+            } else {
+                1_000_000
+            };
+            a.set(i, j, v);
+        }
+    }
+    assert_ne!(
+        a.data().as_ptr(),
+        rows_at_build,
+        "the index shares the rows"
+    );
+    assert_eq!(answers(&ix), before, "the index must not see later writes");
+}
+
+/// `bytes()` counts what the index allocated: a store that shares a
+/// [`Dense`] source's rows stays below the cells' size, and a store
+/// that copied them (any other source) exceeds it.
+#[test]
+fn shared_store_bytes_exclude_the_source_rows() {
+    let (m, n) = (64, 300);
+    let a = monge(m, n);
+    let cells = (m * n * std::mem::size_of::<i64>()) as u64;
+    let shared = QueryIndex::build(&a, Structure::Monge).unwrap();
+    let copied = QueryIndex::build(&CountingArray::new(&a), Structure::Monge).unwrap();
+    assert!(
+        shared.bytes() < cells,
+        "shared {} >= {cells}",
+        shared.bytes()
+    );
+    assert!(
+        copied.bytes() > cells,
+        "copied {} <= {cells}",
+        copied.bytes()
+    );
+    assert_eq!(copied.bytes() - shared.bytes(), cells);
+    assert_eq!(shared.breakpoints(), copied.breakpoints());
 }
 
 #[test]
